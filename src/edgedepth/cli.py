@@ -96,13 +96,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_dstab(args) -> int:
     g = _load_graph(args.graph, args.max_r)
+    field = _field_from_arg(args.field)
     payload: dict = {}
     formula_report = None
     if args.method in ("formula", "both"):
-        formula_report = stability.dstab_formula(g)
+        formula_report = stability.dstab_formula(g, field=field, max_r=args.max_r)
         payload["formula"] = formula_report.to_json()
     if args.method in ("oracle", "both"):
-        oracle = stability.dstab_oracle(g)
+        oracle = stability.dstab_oracle(g, field=field, max_r=args.max_r)
         payload["oracle"] = oracle
         if formula_report is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
@@ -120,14 +121,16 @@ def cmd_depth_seq(args) -> int:
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
     field = _field_from_arg(args.field)
-    seq = depth.depth_sequence(g, args.max_power, field=field)
+    seq = depth.depth_sequence(g, args.max_power, field=field, max_r=args.max_r)
     s = stability.depth_limit(g)
     first = next((i + 1 for i, d in enumerate(seq) if d == s), None)
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
     if args.verify:
         ideal = monomials.edge_ideal(g)
         for n in range(1, args.max_power + 1):
-            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=field)
+            other = depth.betti_depth_crosscheck(
+                monomials.power(ideal, n), field=field, max_r=args.max_r
+            )
             if other != seq[n - 1]:
                 raise MismatchError(
                     f"power {n}: scan depth {seq[n - 1]} != betti depth {other}"
@@ -201,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--field", default="q", help="coefficient field: q or gf:<p>")
-    parser.add_argument("--max-r", type=int, default=10, help="vertex-count cap")
-    parser.add_argument("--threads", type=int, default=1, help="reserved; must be >= 1")
+    parser.add_argument(
+        "--max-r", type=int, default=depth.MAX_R_DEFAULT, help="vertex-count cap"
+    )
     parser.add_argument("--trace", action="store_true", help="debug trace to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -239,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -21,11 +21,20 @@ minimal vertex covers.  That yields the facet description
     D_a(I(g)^n) = < F \\ G_a : F a facet of the independence complex,
                     F contains G_a, sum of a_i over i not in F <= n-1 >,
 
-which the engine uses as a fast path (it is property-tested against the
-definition above).
+which is property-tested against the definition above.
+
+Both descriptions feed one scan.  A cell's complex is fixed by G_a and by
+the "atoms" the cell chooses.  For an arbitrary ideal the atoms are all
+vertex sets, the chosen ones are the generators' violation sets
+{i not in G_a : g_i > a_i}, and D_a is the subsets of [r] \\ G_a that
+contain none of them.  For bipartite g the atoms are the independence
+facets, chosen as above.  The scan keys cells on these choices, builds each
+distinct complex as a bitmap over all 2^r vertex sets, and computes the
+homology once per complex up to an order-preserving relabelling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,15 +63,6 @@ MAX_BOX_DEFAULT = 5_000_000
 
 
 @dataclass(frozen=True)
-class DegreeVector:
-    entries: tuple[int, ...]
-
-    @property
-    def negative_support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e < 0)
-
-
-@dataclass(frozen=True)
 class DepthCertificate:
     """Result of a depth scan with its witnessing multidegree."""
 
@@ -71,10 +71,6 @@ class DepthCertificate:
     homology_dim: int
     scan_box: tuple[int, ...]  # per-coordinate box sizes
 
-    @property
-    def witness_i(self) -> int:
-        return self.depth
-
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
@@ -82,10 +78,6 @@ class DepthCertificate:
             "homology_dim": self.homology_dim,
             "scan_box": list(self.scan_box),
         }
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _bits(x: int) -> list[int]:
@@ -170,302 +162,209 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
     return from_facets(range(1, g.r + 1), facets)
 
 
-# Cache from a canonicalized facet-mask tuple to (min homology index, dim).
-_HOMOLOGY_CACHE: dict[tuple, tuple[Optional[int], int]] = {}
+# Reduced homology of canonical complexes, keyed by (field prime, bitmap
+# bytes from _canonical_keys); first in, first out past the bound.
+_HOMOLOGY_CACHE: dict[tuple[Optional[int], bytes], tuple[Optional[int], int]] = {}
+_HOMOLOGY_CACHE_ENTRIES = 1 << 16
+# Bound on a chunk's cell count times the array entries each cell takes.
+_CHUNK_BUDGET = 1 << 22
+_NO_VALUE = 1 << 32  # above every cohomological index
 
 
-def _min_homology_of_masks(facet_masks: tuple[int, ...], field: FieldChoice) -> tuple[Optional[int], int]:
-    used = 0
-    for m in facet_masks:
-        used |= m
-    positions = _bits(used)
-    remap = {b: i for i, b in enumerate(positions)}
-    canon = tuple(
-        sorted(sum(1 << remap[b] for b in _bits(m)) for m in facet_masks)
-    )
-    key = (canon, field.p)
-    hit = _HOMOLOGY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    facets = [tuple(i + 1 for i in _bits(m)) for m in canon]
-    cx = from_facets(range(1, len(positions) + 1), facets) if facets else void_complex(())
-    result = min_nonvanishing_reduced_homology(cx, field=field)
-    _HOMOLOGY_CACHE[key] = result
-    return result
+def _vertex_axes(faces: np.ndarray, r: int):
+    """Per vertex v, the views (sets without v, sets with v) of a (k, 2^r)
+    array indexed by vertex-set masks; pairs line up entry by entry."""
+    cube = faces.reshape((-1,) + (2,) * r)
+    for axis in range(1, r + 1):
+        view = cube.swapaxes(axis, -1)
+        yield view[..., 0], view[..., 1]
 
 
-def _antichain_min(masks: list[int]) -> list[int]:
-    uniq = sorted(set(masks), key=_popcount)
-    out: list[int] = []
-    for m in uniq:
-        if not any((b & ~m) == 0 for b in out):
-            out.append(m)
-    return out
+def _face_bitmaps(
+    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, avoid: bool
+) -> np.ndarray:
+    """(k, 2^r) face indicators of the cells' complexes.  The chosen atoms,
+    cut to the nonnegative support, are closed downward; with avoid the
+    complex is instead the subsets of the nonnegative support that contain
+    no chosen atom."""
+    faces = np.zeros((len(neg), 1 << r), dtype=bool)
+    rows, cols = np.nonzero(chosen)
+    faces[rows, atoms[cols] & ~neg[rows]] = True
+    for without, with_v in _vertex_axes(faces, r):
+        if avoid:
+            with_v |= without
+        else:
+            without |= with_v
+    if avoid:
+        np.logical_not(faces, out=faces)
+        faces &= (np.arange(1 << r) & neg[:, None]) == 0
+    return faces
 
 
-def _facets_avoiding(umask: int, bad: list[int]) -> tuple[int, ...]:
-    """Maximal submasks of umask containing no member of bad."""
-    ok = set()
-    for s in _submasks(umask):
-        if not any((b & ~s) == 0 for b in bad):
-            ok.add(s)
-    facets = []
-    for s in ok:
-        if all((s | bit) not in ok for bit in (1 << v for v in _bits(umask & ~s))):
-            facets.append(s)
-    return tuple(sorted(facets))
+def _canonical_keys(faces: np.ndarray, r: int) -> np.ndarray:
+    """Move each complex onto vertices 0..m-1, keeping the vertex order, and
+    pack it: complexes equal up to that relabelling share their bytes."""
+    used = faces[:, 1 << np.arange(r)]
+    count = used.sum(axis=1)
+    order = np.argsort(~used, axis=1, kind="stable")
+    index = np.zeros((len(faces), 1), dtype=np.int64)
+    for t in range(r):
+        step = np.where(count > t, 1 << order[:, t], 0)
+        index = np.concatenate([index, index + step[:, None]], axis=1)
+    canon = np.take_along_axis(faces, index, axis=1)
+    canon &= np.arange(1 << r) < (1 << count)[:, None]
+    return np.packbits(canon, axis=1, bitorder="little")
 
 
-def _alpha_chunks(sizes: Sequence[int], chunk: int):
-    """Yield (offset, array) chunks of the alpha box in lexicographic order;
-    coordinate j takes values -1 .. sizes[j] - 2."""
-    sizes = list(sizes)
-    n_total = 1
-    for s in sizes:
-        n_total *= s
-    weights = []
-    w = 1
-    for s in reversed(sizes):
-        weights.append(w)
-        w *= s
-    weights.reverse()
-    weights_arr = np.array(weights, dtype=np.int64)
+def _facets(faces: np.ndarray, r: int) -> list[tuple[int, ...]]:
+    """Maximal faces, as 1-based vertex tuples, of one face indicator row."""
+    covered = np.zeros_like(faces)
+    for (cov, _), (_, face_with) in zip(_vertex_axes(covered, r), _vertex_axes(faces, r)):
+        cov |= face_with
+    return [tuple(i + 1 for i in _bits(int(s))) for s in np.flatnonzero(faces & ~covered)]
+
+
+def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
+    """(least degree of nonzero reduced homology, its dimension) of the
+    complex packed in key; (None, 0) when void or acyclic."""
+    hit = _HOMOLOGY_CACHE.get((field.p, key))
+    if hit is None:
+        faces = np.unpackbits(np.frombuffer(key, dtype=np.uint8), bitorder="little")
+        m = (len(faces) - 1).bit_length()
+        faces = np.pad(faces, (0, (1 << m) - len(faces))).astype(bool)
+        facets = _facets(faces, m)
+        cx = from_facets(range(1, m + 1), facets)
+        hit = min_nonvanishing_reduced_homology(cx, field=field)
+        if len(_HOMOLOGY_CACHE) >= _HOMOLOGY_CACHE_ENTRIES:
+            del _HOMOLOGY_CACHE[next(iter(_HOMOLOGY_CACHE))]
+        _HOMOLOGY_CACHE[(field.p, key)] = hit
+    return hit
+
+
+def _rows_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the distinct rows of a 2-d uint8 array, the index of each one's
+    first occurrence, and for each row, the position of its distinct row."""
+    rows = np.ascontiguousarray(rows)
+    flat = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _scan(
+    sizes: Sequence[int],
+    atoms: np.ndarray,
+    chosen_of,
+    avoid: bool,
+    field: FieldChoice,
+    width: int,
+) -> DepthCertificate:
+    """The least cohomological index over the alpha box, coordinate j
+    ranging over -1 .. sizes[j] - 2, with its witness: the cell of least
+    (index, position in the box).
+
+    A cell's complex is fixed by its negative support and by which atoms
+    chosen_of(alpha) picks (a boolean row per cell), and is built by
+    _face_bitmaps; width is the per-cell entry count of chosen_of's largest
+    array.
+    """
+    r = len(sizes)
+    n_cells = math.prod(sizes)
+    if n_cells > MAX_BOX_DEFAULT:
+        raise TooLargeError(f"scan box has {n_cells} cells, cap is {MAX_BOX_DEFAULT}")
     radix = np.array(sizes, dtype=np.int64)
-    for off in range(0, n_total, chunk):
-        idx = np.arange(off, min(off + chunk, n_total), dtype=np.int64)
-        digits = (idx[:, None] // weights_arr[None, :]) % radix[None, :]
-        yield off, (digits - 1).astype(np.int16)
-
-
-def _alpha_at(sizes: Sequence[int], index: int) -> tuple[int, ...]:
-    out = []
-    for s in reversed(list(sizes)):
-        out.append(index % s - 1)
-        index //= s
-    return tuple(reversed(out))
-
-
-def _pack_words(masks: np.ndarray, nbits: int) -> np.ndarray:
-    """OR together, per row, the bits 1 << masks[row, j] of an (c, m) int
-    array into ceil(nbits/64) uint64 words."""
-    nwords = (nbits + 63) // 64
-    c = masks.shape[0]
-    sig = np.zeros((c, nwords), dtype=np.uint64)
-    word = masks >> 6
-    shift = (masks & 63).astype(np.uint64)
-    one = np.uint64(1)
-    for k in range(nwords):
-        vals = np.where(word == k, one << shift, np.uint64(0))
-        sig[:, k] = np.bitwise_or.reduce(vals, axis=1)
-    return sig
-
-
-class _BestTracker:
-    def __init__(self) -> None:
-        self.value: Optional[int] = None
-        self.index: Optional[int] = None
-        self.hdim = 0
-
-    def offer(self, value: int, index: int, hdim: int) -> None:
-        if (
-            self.value is None
-            or value < self.value
-            or (value == self.value and index < self.index)
-        ):
-            self.value = value
-            self.index = index
-            self.hdim = hdim
-
-
-def _scan_generators(
-    gens: np.ndarray, r: int, field: FieldChoice, max_box: int
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """Depth scan over the alpha box using the generator matrix.  Returns
-    (depth, witness index, homology dim, box sizes)."""
-    rhos = gens.max(axis=0).astype(np.int64)
-    sizes = [int(e) + 1 for e in rhos]
-    n_cells = 1
-    for s in sizes:
-        n_cells *= s
-    if n_cells > max_box:
-        raise TooLargeError(f"scan box has {n_cells} cells, cap is {max_box}")
-    m = gens.shape[0]
-    pow2 = (1 << np.arange(r, dtype=np.int64)).astype(np.int64)
-    chunk = max(1024, 30_000_000 // max(1, m * r))
-    best = _BestTracker()
-    class_cache: dict[bytes, tuple[Optional[int], int, int]] = {}
-    gens16 = gens.astype(np.int16)
-    for off, a_chunk in _alpha_chunks(sizes, chunk):
-        neg = a_chunk < 0
-        exceed = gens16[None, :, :] > a_chunk[:, None, :]
-        exceed &= ~neg[:, None, :]
-        masks = exceed.astype(np.int64) @ pow2  # (c, m)
-        negpack = neg.astype(np.int64) @ pow2
-        sig = _pack_words(masks, 1 << r)
-        keys = np.column_stack([negpack.astype(np.uint64), sig])
-        uniq, first = np.unique(keys, axis=0, return_index=True)
-        for row, idx in zip(uniq, first):
-            kb = row.tobytes()
-            entry = class_cache.get(kb)
-            if entry is None:
-                negmask = int(row[0])
-                mask_set = []
-                for k in range(1, len(row)):
-                    word = int(row[k])
-                    base = (k - 1) << 6
-                    for b in _bits(word):
-                        mask_set.append(base + b)
-                if 0 in mask_set:
-                    entry = (None, 0, 0)  # void complex: no contribution
-                else:
-                    umask = ((1 << r) - 1) & ~negmask
-                    bad = _antichain_min(mask_set)
-                    facets = _facets_avoiding(umask, bad)
-                    mind, hdim = _min_homology_of_masks(facets, field)
-                    if mind is None:
-                        entry = (None, 0, 0)
-                    else:
-                        entry = (_popcount(negmask) + 1 + mind, hdim, 0)
-                class_cache[kb] = entry
-            value, hdim, _ = entry
-            if value is not None:
-                best.offer(value, off + int(idx), hdim)
-    if best.value is None:
+    weights = np.cumprod(radix[::-1])[::-1] // radix
+    bits = 1 << np.arange(r, dtype=np.int64)
+    chunk = max(1, _CHUNK_BUDGET // (width + len(atoms) + (1 << r)))
+    best = (_NO_VALUE, 0, 0)  # (value, cell, homology dim)
+    for off in range(0, n_cells, chunk):
+        cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
+        alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
+        neg = (alpha < 0) @ bits
+        chosen = chosen_of(alpha)
+        keys = np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)])
+        first, _ = _rows_unique(keys)
+        faces = _face_bitmaps(neg[first], chosen[first], atoms, r, avoid)
+        canon = _canonical_keys(faces, r)
+        rep, inverse = _rows_unique(canon)
+        found = [_homology(canon[i].tobytes().rstrip(b"\0"), field) for i in rep]
+        mind = np.array([_NO_VALUE if d is None else d for d, _ in found])[inverse]
+        hdims = np.array([h for _, h in found])[inverse]
+        values = (alpha[first] < 0).sum(axis=1) + 1 + mind
+        j = np.lexsort((first, values))[0]
+        if values[j] < best[0]:
+            best = (int(values[j]), off + int(first[j]), int(hdims[j]))
+    value, cell, hdim = best
+    if value == _NO_VALUE:
         raise InternalError("depth scan found no nonvanishing local cohomology")
-    return best.value, best.index, best.hdim, tuple(sizes)
-
-
-def _scan_bipartite_facets(
-    facet_masks: list[int], r: int, n: int, field: FieldChoice, max_box: int
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """Depth scan for I(g)^n, g bipartite, driven by the facets of the
-    independence complex instead of the generators of the power."""
-    sizes = [n + 1] * r
-    n_cells = (n + 1) ** r
-    if n_cells > max_box:
-        raise TooLargeError(f"scan box has {n_cells} cells, cap is {max_box}")
-    nf = len(facet_masks)
-    comp = np.zeros((nf, r), dtype=np.int64)  # complement indicators
-    for j, fm in enumerate(facet_masks):
-        for i in range(r):
-            if not fm >> i & 1:
-                comp[j, i] = 1
-    pow2 = (1 << np.arange(r, dtype=np.int64)).astype(np.int64)
-    chunk = max(4096, 8_000_000 // max(1, nf))
-    best = _BestTracker()
-    class_cache: dict[bytes, tuple[Optional[int], int]] = {}
-    fmask_arr = facet_masks
-    for off, a_chunk in _alpha_chunks(sizes, chunk):
-        apos = np.maximum(a_chunk, 0).astype(np.int64)
-        neg = (a_chunk < 0).astype(np.int64)
-        weights = apos @ comp.T  # (c, nf): alpha-weight outside each facet
-        outside = neg @ comp.T  # negative coordinates outside each facet
-        sel = (weights <= n - 1) & (outside == 0)
-        negpack = neg @ pow2
-        nwords = (nf + 63) // 64
-        selwords = np.zeros((sel.shape[0], nwords), dtype=np.uint64)
-        for k in range(nwords):
-            hi = min(64, nf - 64 * k)
-            w = (1 << np.arange(hi, dtype=np.int64)).astype(np.uint64)
-            selwords[:, k] = (sel[:, 64 * k : 64 * k + hi].astype(np.uint64) * w).sum(axis=1)
-        keys = np.column_stack([negpack.astype(np.uint64), selwords])
-        uniq, first = np.unique(keys, axis=0, return_index=True)
-        for row, idx in zip(uniq, first):
-            kb = row.tobytes()
-            entry = class_cache.get(kb)
-            if entry is None:
-                negmask = int(row[0])
-                chosen = []
-                for k in range(1, len(row)):
-                    word = int(row[k])
-                    base = (k - 1) << 6
-                    for b in _bits(word):
-                        chosen.append(fmask_arr[base + b] & ~negmask)
-                if not chosen:
-                    entry = (None, 0)
-                else:
-                    mind, hdim = _min_homology_of_masks(tuple(sorted(set(chosen))), field)
-                    if mind is None:
-                        entry = (None, 0)
-                    else:
-                        entry = (_popcount(negmask) + 1 + mind, hdim)
-                class_cache[kb] = entry
-            value, hdim = entry
-            if value is not None:
-                best.offer(value, off + int(idx), hdim)
-    if best.value is None:
-        raise InternalError("depth scan found no nonvanishing local cohomology")
-    return best.value, best.index, best.hdim, tuple(sizes)
+    return DepthCertificate(
+        depth=value,
+        witness_alpha=tuple(int(e) for e in (cell // weights) % radix - 1),
+        homology_dim=hdim,
+        scan_box=tuple(int(s) for s in sizes),
+    )
 
 
 def depth_bruteforce(
-    ideal: MonomialIdeal,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    max_box: int = MAX_BOX_DEFAULT,
+    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> DepthCertificate:
-    """Exact depth of R/I by scanning the full multidegree box."""
+    """Exact depth of R/I by scanning the full multidegree box.  The atoms
+    are all vertex sets; a cell chooses the violation sets of the
+    generators, and its complex avoids them."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
-    if ideal.r > max_r:
-        raise TooLargeError(f"depth scan capped at r={max_r}, got {ideal.r}")
+    r = ideal.r
+    if r > max_r:
+        raise TooLargeError(f"depth scan capped at r={max_r}, got {r}")
     gens = gens_array(ideal)
-    depth, index, hdim, sizes = _scan_generators(np.asarray(gens), ideal.r, field, max_box)
-    return DepthCertificate(
-        depth=depth,
-        witness_alpha=_alpha_at(sizes, index),
-        homology_dim=hdim,
-        scan_box=sizes,
-    )
+
+    def violations(alpha: np.ndarray) -> np.ndarray:
+        # no exponent exceeds a negative coordinate's stand-in
+        a = np.where(alpha < 0, np.iinfo(np.int16).max, alpha)
+        masks = np.zeros((len(a), len(gens)), dtype=np.int32)
+        for i in range(r):
+            masks |= np.left_shift(gens[:, i] > a[:, i, None], i, dtype=np.int32)
+        chosen = np.zeros((len(a), 1 << r), dtype=bool)
+        np.put_along_axis(chosen, masks, True, axis=1)
+        return chosen
+
+    sizes = [int(e) + 1 for e in gens.max(axis=0)]
+    return _scan(sizes, np.arange(1 << r), violations, True, field, len(gens))
 
 
 def depth_power(
-    g: Graph,
-    n: int,
-    field: FieldChoice = QQ,
-    use_fast_path: bool = True,
-    max_r: int = MAX_R_DEFAULT,
-    max_box: int = MAX_BOX_DEFAULT,
+    g: Graph, n: int, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> DepthCertificate:
-    """depth R/I(g)^n; routes bipartite graphs through the facet fast path."""
+    """depth R/I(g)^n.  For bipartite g the atoms are the facets of the
+    independence complex, and a cell chooses those that contain G_a and
+    have alpha-weight at most n - 1 outside them; otherwise the scan runs on
+    the generators of the power."""
     if n < 1:
         raise ValueError("power must be >= 1")
     if g.r > max_r:
         raise TooLargeError(f"depth scan capped at r={max_r}, got r={g.r}")
-    if use_fast_path and decompose(g).t == 0:
-        facet_masks = [
-            sum(1 << (v - 1) for v in f) for f in maximal_independent_sets(g)
-        ]
-        depth, index, hdim, sizes = _scan_bipartite_facets(
-            facet_masks, g.r, n, field, max_box
-        )
-        return DepthCertificate(
-            depth=depth,
-            witness_alpha=_alpha_at(sizes, index),
-            homology_dim=hdim,
-            scan_box=sizes,
-        )
-    return depth_bruteforce(power(edge_ideal(g), n), field=field, max_r=max_r, max_box=max_box)
+    if decompose(g).t:
+        return depth_bruteforce(power(edge_ideal(g), n), field=field, max_r=max_r)
+    facets = maximal_independent_sets(g)
+    atoms = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
+    outside = np.array([[v not in f for v in g.vertices] for f in facets], dtype=np.int64)
+
+    def chosen_facets(alpha: np.ndarray) -> np.ndarray:
+        # a negative coordinate outside a facet outweighs n - 1 on its own
+        return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
+
+    return _scan([n + 1] * g.r, atoms, chosen_facets, False, field, len(facets))
 
 
 def depth_sequence(
-    g: Graph,
-    n_max: int,
-    field: FieldChoice = QQ,
-    use_fast_path: bool = True,
-    max_box: int = MAX_BOX_DEFAULT,
+    g: Graph, n_max: int, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> list[int]:
     return [
-        depth_power(g, n, field=field, use_fast_path=use_fast_path, max_box=max_box).depth
-        for n in range(1, n_max + 1)
+        depth_power(g, n, field=field, max_r=max_r).depth for n in range(1, n_max + 1)
     ]
 
 
 def betti_depth_crosscheck(
-    ideal: MonomialIdeal,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    max_box: int = MAX_BOX_DEFAULT,
+    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> int:
     """depth R/I via graded Betti numbers of I.
 
@@ -483,8 +382,8 @@ def betti_depth_crosscheck(
     cells = 1
     for e in lcm:
         cells *= e + 1
-    if cells > max_box:
-        raise TooLargeError(f"degree box has {cells} cells, cap is {max_box}")
+    if cells > MAX_BOX_DEFAULT:
+        raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT}")
     max_i = -1
     ranges = [range(e + 1) for e in lcm]
     import itertools

@@ -117,10 +117,7 @@ def parse_graph(text: str) -> Graph:
         edges.append((u, v))
     if not edges:
         raise ParseError("no edges found")
-    try:
-        return build_graph(edges, r=r)
-    except (LoopEdgeError, BadLabelError, IsolatedVertexError):
-        raise
+    return build_graph(edges, r=r)
 
 
 def read_graph_file(path) -> Graph:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .depth import depth_power, takayama_complex
+from .depth import MAX_R_DEFAULT, depth_power, takayama_complex
 from .errors import (
     InternalError,
     NotConnectedBipartiteError,
@@ -33,6 +33,7 @@ from .graphs import (
     bipartition,
     cycle_profile,
     decompose,
+    distance_to_cycle,
     induced_subgraph,
     is_tree,
     is_unicyclic,
@@ -40,7 +41,7 @@ from .graphs import (
     mu_vector,
 )
 from .monomials import edge_ideal, power
-from .simplicial import QQ, from_facets
+from .simplicial import QQ, FieldChoice, from_facets
 
 
 def depth_limit(g: Graph) -> int:
@@ -86,7 +87,6 @@ def _four_cycle_adjacent_deg2(g: Graph, cycle: tuple[int, ...]) -> bool:
 @dataclass(frozen=True)
 class UnicyclicDstab:
     value: int
-    exact: bool
     note: str
 
 
@@ -105,16 +105,16 @@ def dstab_unicyclic(g: Graph) -> UnicyclicDstab:
     v, e0 = g.r, leaf_edges(g)
     if length % 2 == 1:
         k = (length + 1) // 2
-        return UnicyclicDstab(v - e0 - k + 1, True, "odd-cycle")
+        return UnicyclicDstab(v - e0 - k + 1, "odd-cycle")
     k = length // 2
     if k >= 3:
-        return UnicyclicDstab(v - e0 - k + 1, True, "even-cycle")
+        return UnicyclicDstab(v - e0 - k + 1, "even-cycle")
     # 4-cycle cases
     if g.r == 4:
-        return UnicyclicDstab(1, True, "four-cycle-pure")
+        return UnicyclicDstab(1, "four-cycle-pure")
     if _four_cycle_adjacent_deg2(g, cycle):
-        return UnicyclicDstab(v - e0 - 2, True, "four-cycle-adjacent-deg2")
-    return UnicyclicDstab(v - e0 - 1, True, "four-cycle-remark")
+        return UnicyclicDstab(v - e0 - 2, "four-cycle-adjacent-deg2")
+    return UnicyclicDstab(v - e0 - 1, "four-cycle-remark")
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,15 @@ class DstabReport:
 def dstab_formula(
     g: Graph,
     verify_remark_cases: bool = True,
-    max_box: int = 5_000_000,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
 ) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
 
     The 4-cycle remark branches are cross-validated against the depth
-    oracle when the component is small enough; a mismatch downgrades the
-    report to exact=False instead of failing.
+    oracle over field; a mismatch, or a component too large for the
+    oracle, downgrades the report to exact=False instead of failing.
     """
     dec = decompose(g)
     reports = []
@@ -184,25 +185,24 @@ def dstab_formula(
             )
         elif prof.kind == "unicyclic":
             res = dstab_unicyclic(sub)
-            exact = res.exact
+            problem = ""
             if (
                 verify_remark_cases
                 and res.note.startswith("four-cycle")
                 and res.note != "four-cycle-pure"
             ):
                 try:
-                    oracle = dstab_oracle(sub, max_box=max_box)
-                    if oracle != res.value:
-                        exact = False
-                        warnings.append(
-                            f"component {comp}: four-cycle case value "
-                            f"{res.value} disagrees with oracle {oracle}"
-                        )
-                except TooLargeError:
-                    pass
+                    oracle = dstab_oracle(sub, field=field, max_r=max_r)
+                    problem = "" if oracle == res.value else f"disagrees with oracle {oracle}"
+                except TooLargeError as exc:
+                    problem = f"unverified ({exc})"
+            if problem:
+                warnings.append(
+                    f"component {comp}: four-cycle case value {res.value} {problem}"
+                )
             reports.append(
                 ComponentReport(
-                    comp, "unicyclic", bipart is not None, k, res.value, exact, res.note
+                    comp, "unicyclic", bipart is not None, k, res.value, not problem, res.note
                 )
             )
         else:
@@ -231,17 +231,14 @@ def dstab_formula(
 
 
 def dstab_oracle(
-    g: Graph,
-    field=QQ,
-    use_fast_path: bool = True,
-    max_box: int = 5_000_000,
+    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> int:
     """First n with depth R/I(g)^n equal to the limit depth, by direct
     computation.  Raises InternalError past the global bound."""
     s = depth_limit(g)
     bound = mt_bound(g)
     for n in range(1, bound + 1):
-        cert = depth_power(g, n, field=field, use_fast_path=use_fast_path, max_box=max_box)
+        cert = depth_power(g, n, field=field, max_r=max_r)
         if cert.depth == s:
             return n
     raise InternalError(
@@ -306,26 +303,13 @@ def _prop_alpha_unicyclic(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
     cyc = set(cycle)
 
-    def dist_to_cycle(v: int) -> int:
-        if v in cyc:
-            return 0
-        seen = {v: 0}
-        queue = [v]
-        while queue:
-            a = queue.pop(0)
-            for b in adj[a]:
-                if b not in seen:
-                    seen[b] = seen[a] + 1
-                    if b in cyc:
-                        return seen[b]
-                    queue.append(b)
-        raise InternalError("unicyclic graph must reach its cycle")
-
     def rec() -> dict[int, int]:
         if len(adj) == len(cyc):
             return {v: 1 for v in adj}
         leaves = [v for v, nb in adj.items() if len(nb) == 1]
-        dist = {v: dist_to_cycle(v) for v in leaves}
+        # a leaf's path to the cycle survives the peeling, so its distance
+        # in g is its distance in what is left
+        dist = {v: distance_to_cycle(g, v, cyc) for v in leaves}
         dmax = max(dist.values())
         v = min(w for w in leaves if dist[w] == dmax)
         t = next(iter(adj[v]))

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from edgedepth import stability
 from edgedepth.cli import main
+from edgedepth.simplicial import FieldChoice
 
 
 @pytest.fixture
@@ -21,6 +23,8 @@ def graph_file(tmp_path):
 C6_TEXT = "r=6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
 C3C4_TEXT = "1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7\n"
 C3_TEXT = "1 2\n2 3\n1 3\n"
+C4LEAF_TEXT = "1 2\n2 3\n3 4\n1 4\n1 5\n"
+P11_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 11))
 
 
 def run(capsys, argv):
@@ -165,3 +169,32 @@ def test_deterministic_output(graph_file, capsys):
     _, out1, _ = run(capsys, ["--format", "json", "dstab", path])
     _, out2, _ = run(capsys, ["--format", "json", "dstab", path])
     assert out1 == out2
+
+
+def test_max_r_reaches_the_scan(graph_file, capsys):
+    path = graph_file("p11.txt", P11_TEXT)
+    code, out, err = run(
+        capsys,
+        ["--format", "json", "--max-r", "12", "depth-seq", path, "--max-power", "1"],
+    )
+    assert code == 0, err
+    assert json.loads(out)["depths"] == [4]  # ceil(11 / 3)
+    code, _, err = run(capsys, ["depth-seq", path, "--max-power", "1"])
+    assert code == 3 and "cap is 10" in err
+
+
+def test_dstab_field(graph_file, capsys, monkeypatch):
+    path = graph_file("c4leaf.txt", C4LEAF_TEXT)
+    code, _, _ = run(capsys, ["--field", "gf:4", "dstab", path])
+    assert code == 2
+    fields = []
+    real = stability.depth_power
+
+    def spy(g, n, field, **kwargs):
+        fields.append(field)
+        return real(g, n, field=field, **kwargs)
+
+    monkeypatch.setattr(stability, "depth_power", spy)
+    code, out, _ = run(capsys, ["--format", "json", "--field", "gf:2", "dstab", path])
+    assert code == 0 and json.loads(out)["match"] is True
+    assert fields and set(fields) == {FieldChoice.gf(2)}

@@ -27,7 +27,14 @@ from edgedepth.monomials import (
     multiply,
     power,
 )
-from edgedepth.simplicial import from_facets, is_cone, void_complex
+from edgedepth.simplicial import (
+    QQ,
+    FieldChoice,
+    from_facets,
+    is_cone,
+    reduced_homology_dims,
+    void_complex,
+)
 from test_monomials import random_ideal
 
 
@@ -155,18 +162,33 @@ def test_depth_principal_and_small():
     assert depth_bruteforce(minimalize(2, [(1, 0), (0, 1)])).depth == 0
 
 
-def test_depth_certificate_witness():
-    cert = depth_bruteforce(edge_ideal(build_graph(cycle_edges(4))))
-    assert cert.depth == 1
-    assert cert.witness_i == 1
-    # the witness alpha really exhibits homology at index i - |G_a| - 1
-    ideal = edge_ideal(build_graph(cycle_edges(4)))
-    cx = takayama_complex(ideal, cert.witness_alpha)
-    from edgedepth.simplicial import reduced_homology_dims
-
+def _assert_witness(cert, ideal):
+    # the witness alpha really exhibits homology at index depth - |G_a| - 1
     neg = sum(1 for a in cert.witness_alpha if a < 0)
-    dims = reduced_homology_dims(cx)
+    dims = reduced_homology_dims(takayama_complex(ideal, cert.witness_alpha))
     assert dims[cert.depth - neg - 1] == cert.homology_dim > 0
+
+
+def test_depth_certificate_witness():
+    ideal = edge_ideal(build_graph(cycle_edges(4)))
+    cert = depth_bruteforce(ideal)
+    assert cert.depth == 1
+    _assert_witness(cert, ideal)
+    rng = random.Random(41)
+    ideals = checked = 0
+    while ideals < 15:
+        ideal = random_ideal(rng, rng.randint(2, 5))
+        if ideal.is_zero or ideal.is_unit:
+            continue
+        ideals += 1
+        _assert_witness(depth_bruteforce(ideal), ideal)
+    while checked < 8:
+        g = random_graph(rng, rng.randint(2, 6))
+        if decompose(g).t:
+            continue
+        checked += 1
+        for n in (1, 2, 3):
+            _assert_witness(depth_power(g, n), power(edge_ideal(g), n))
 
 
 def test_depth_c3_powers():
@@ -180,6 +202,8 @@ def test_depth_c6_sequence():
 
 
 def test_fast_path_agrees_with_generator_scan():
+    # the facet route of depth_power against the generator scan of the
+    # power: same box, same complexes, so the same certificate
     rng = random.Random(37)
     checked = 0
     while checked < 10:
@@ -188,9 +212,11 @@ def test_fast_path_agrees_with_generator_scan():
             continue
         checked += 1
         for n in (1, 2, 3):
-            fast = depth_power(g, n, use_fast_path=True).depth
-            slow = depth_power(g, n, use_fast_path=False).depth
-            assert fast == slow
+            ideal = power(edge_ideal(g), n)
+            for field in (QQ, FieldChoice.gf(2)):
+                assert depth_power(g, n, field=field) == depth_bruteforce(
+                    ideal, field=field
+                )
 
 
 def test_depth_of_disjoint_blocks():

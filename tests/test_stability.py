@@ -12,10 +12,12 @@ from conftest import (
     random_connected_graph,
     star_edges,
 )
+from edgedepth import stability
 from edgedepth.errors import (
     NotConnectedBipartiteError,
     NotTreeError,
     NotUnicyclicError,
+    TooLargeError,
 )
 from edgedepth.graphs import build_graph
 from edgedepth.stability import (
@@ -92,6 +94,17 @@ def test_four_cycle_cases_match_oracle():
     for extra in ([(1, 5)], [(1, 5), (3, 6)], [(1, 5), (2, 6)], [(1, 5), (5, 6)]):
         g = build_graph(cycle_edges(4) + extra)
         assert dstab_unicyclic(g).value == dstab_oracle(g)
+
+
+def test_four_cycle_case_unverified_when_oracle_too_large(monkeypatch):
+    def too_large(*args, **kwargs):
+        raise TooLargeError("scan box too large")
+
+    monkeypatch.setattr(stability, "dstab_oracle", too_large)
+    rep = dstab_formula(build_graph(cycle_edges(4) + [(1, 5)]))
+    assert rep.value == 2 and not rep.exact
+    assert not rep.components[0].exact
+    assert len(rep.warnings) == 1 and "unverified" in rep.warnings[0]
 
 
 def test_mt_bound_values():
