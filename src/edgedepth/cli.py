@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import assoc, depth, graphs, monomials, simplicial, stability
@@ -40,14 +41,26 @@ def _field_from_arg(spec: str) -> simplicial.FieldChoice:
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    """Print payload.  A reader that has gone away (a closed pipe) loses the
+    output, not the exit code the computation produced."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (list, dict)):
-            value = json.dumps(value, sort_keys=True)
-        print(f"{key}: {value}")
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        lines = []
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, (list, dict)):
+                value = json.dumps(value, sort_keys=True)
+            lines.append(f"{key}: {value}")
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at interpreter
+        # exit finds somewhere to put what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_graph(path: str, max_r: int) -> graphs.Graph:

@@ -34,6 +34,7 @@ homology once per complex up to an order-preserving relabelling.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,8 +55,10 @@ from .simplicial import (
     FieldChoice,
     SimplicialComplex,
     from_facets,
+    is_cone,
     min_nonvanishing_reduced_homology,
-    void_complex,
+    reduced_homology_dims,
+    submasks,
 )
 
 MAX_R_DEFAULT = 10
@@ -80,25 +83,6 @@ class DepthCertificate:
         }
 
 
-def _bits(x: int) -> list[int]:
-    out = []
-    while x:
-        b = x & -x
-        out.append(b.bit_length() - 1)
-        x &= x - 1
-    return out
-
-
-def _submasks(mask: int) -> list[int]:
-    out = []
-    s = mask
-    while True:
-        out.append(s)
-        if s == 0:
-            return out
-        s = (s - 1) & mask
-
-
 def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int], max_r: int = MAX_R_DEFAULT) -> SimplicialComplex:
     """The complex D_a(I) by direct enumeration of the face candidates."""
     a = tuple(int(e) for e in alpha)
@@ -108,33 +92,17 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int], max_r: int = MA
         raise TooLargeError(f"takayama_complex capped at r={max_r}")
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
-    r = ideal.r
-    neg = [i for i in range(r) if a[i] < 0]
-    universe0 = [i for i in range(r) if a[i] >= 0]
+    universe0 = [i for i in range(ideal.r) if a[i] >= 0]
     # F is a face iff no generator g satisfies g_i <= a_i for all i outside
-    # F union G_a; encode each generator by its violation set.
+    # F union G_a; encode each generator by its violation set, over
+    # positions in universe0.  A generator with no violation leaves no face.
     bad_masks = set()
     for g in ideal.gens:
-        mask = 0
-        for i in universe0:
-            if g[i] > a[i]:
-                mask |= 1 << i
-        bad_masks.add(mask)
-    uni_labels = [i + 1 for i in universe0]
-    if 0 in bad_masks:
-        return void_complex(uni_labels)
-    umask = 0
-    for i in universe0:
-        umask |= 1 << i
-    ok = set()
-    for s in _submasks(umask):
-        if not any((b & ~s) == 0 for b in bad_masks):
-            ok.add(s)
-    facets = []
-    for s in ok:
-        if all((s | (1 << v)) not in ok for v in universe0 if not s >> v & 1):
-            facets.append(tuple(i + 1 for i in _bits(s)))
-    return from_facets(uni_labels, facets)
+        bad_masks.add(sum(1 << j for j, i in enumerate(universe0) if g[i] > a[i]))
+    ok = frozenset(
+        s for s in range(1 << len(universe0)) if all(b & ~s for b in bad_masks)
+    )
+    return SimplicialComplex(tuple(i + 1 for i in universe0), ok)
 
 
 def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> SimplicialComplex:
@@ -157,8 +125,6 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
         for f in maximal_independent_sets(g)
         if total - sum(a[v - 1] for v in f) <= n - 1
     ]
-    if not facets:
-        return void_complex(range(1, g.r + 1))
     return from_facets(range(1, g.r + 1), facets)
 
 
@@ -216,14 +182,6 @@ def _canonical_keys(faces: np.ndarray, r: int) -> np.ndarray:
     return np.packbits(canon, axis=1, bitorder="little")
 
 
-def _facets(faces: np.ndarray, r: int) -> list[tuple[int, ...]]:
-    """Maximal faces, as 1-based vertex tuples, of one face indicator row."""
-    covered = np.zeros_like(faces)
-    for (cov, _), (_, face_with) in zip(_vertex_axes(covered, r), _vertex_axes(faces, r)):
-        cov |= face_with
-    return [tuple(i + 1 for i in _bits(int(s))) for s in np.flatnonzero(faces & ~covered)]
-
-
 def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
     """(least degree of nonzero reduced homology, its dimension) of the
     complex packed in key; (None, 0) when void or acyclic."""
@@ -231,9 +189,7 @@ def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
     if hit is None:
         faces = np.unpackbits(np.frombuffer(key, dtype=np.uint8), bitorder="little")
         m = (len(faces) - 1).bit_length()
-        faces = np.pad(faces, (0, (1 << m) - len(faces))).astype(bool)
-        facets = _facets(faces, m)
-        cx = from_facets(range(1, m + 1), facets)
+        cx = SimplicialComplex(tuple(range(1, m + 1)), frozenset(np.flatnonzero(faces).tolist()))
         hit = min_nonvanishing_reduced_homology(cx, field=field)
         if len(_HOMOLOGY_CACHE) >= _HOMOLOGY_CACHE_ENTRIES:
             del _HOMOLOGY_CACHE[next(iter(_HOMOLOGY_CACHE))]
@@ -385,41 +341,22 @@ def betti_depth_crosscheck(
     if cells > MAX_BOX_DEFAULT:
         raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT}")
     max_i = -1
-    ranges = [range(e + 1) for e in lcm]
-    import itertools
-
-    from .simplicial import reduced_homology_dims
-
-    memo: dict[tuple, int] = {}
-    for b in itertools.product(*ranges):
-        support = [i for i in range(r) if b[i] >= 1]
-        face_masks = []
-        for smask in _submasks(sum(1 << i for i in support)):
-            shifted = tuple(b[i] - (1 if smask >> i & 1 else 0) for i in range(r))
-            if contains(ideal, shifted):
-                face_masks.append(smask)
-        if not face_masks:
-            continue
-        maximal = [
+    universe = tuple(range(1, r + 1))
+    memo: dict[SimplicialComplex, int] = {}
+    for b in itertools.product(*[range(e + 1) for e in lcm]):
+        support = sum(1 << i for i in range(r) if b[i] >= 1)
+        cx = SimplicialComplex(universe, frozenset(
             s
-            for s in face_masks
-            if not any(t != s and (s & ~t) == 0 for t in face_masks)
-        ]
-        key = tuple(sorted(maximal))
-        top = memo.get(key)
+            for s in submasks(support)
+            if contains(ideal, tuple(b[i] - (s >> i & 1) for i in range(r)))
+        ))
+        top = memo.get(cx)
         if top is None:
-            common = key[0]
-            for s in key[1:]:
-                common &= s
-            if common:
-                top = -2  # cone: acyclic, contributes nothing
-            else:
-                cx = from_facets(
-                    range(1, r + 1), [tuple(i + 1 for i in _bits(s)) for s in key]
-                )
+            top = -2  # a cone is acyclic and contributes nothing
+            if is_cone(cx) is None:
                 dims = reduced_homology_dims(cx, field=field)
                 top = max((d for d, dim in dims.items() if dim), default=-2)
-            memo[key] = top
+            memo[cx] = top
         if top > -2:
             max_i = max(max_i, top + 1)
     if max_i < 0:

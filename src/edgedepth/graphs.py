@@ -51,15 +51,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
-    def is_leaf(self, v: int) -> bool:
-        return self.degree(v) == 1
-
-    def leaf_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w in self.neighbors(v) if self.is_leaf(w))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u - 1]
-
 
 def build_graph(edges: Iterable[tuple[int, int]], r: Optional[int] = None) -> Graph:
     """Build a graph from an edge list.  Duplicate edges are merged.
@@ -186,10 +177,6 @@ def is_connected(g: Graph) -> bool:
     return decompose(g).p == 1
 
 
-def is_bipartite(g: Graph) -> bool:
-    return decompose(g).t == 0
-
-
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bipartition (X, Y) of a connected bipartite graph, 1 in X."""
     dec = decompose(g)
@@ -255,7 +242,6 @@ class CycleProfile:
     unique_cycle: Optional[tuple[int, ...]]
     max_even_len: Optional[int]
     max_odd_len: Optional[int]
-    cycle_count: int
 
 
 def cycle_profile(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> CycleProfile:
@@ -273,7 +259,6 @@ def cycle_profile(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> CycleProfile:
         unique_cycle=cycles[0] if len(cycles) == 1 else None,
         max_even_len=max(evens) if evens else None,
         max_odd_len=max(odds) if odds else None,
-        cycle_count=len(cycles),
     )
 
 

@@ -18,6 +18,11 @@ from .graphs import Graph, minimal_vertex_covers
 
 Monomial = tuple[int, ...]
 
+# Entries kept by each memo below, least recently used first out, so a
+# long-running process stays bounded.  One pass of a bench/ workload (many
+# CLI jobs in one process) fills at most 54, so it meets no extra miss.
+CACHE_ENTRIES = 256
+
 
 def monomial_degree(m: Monomial) -> int:
     return sum(m)
@@ -93,7 +98,7 @@ def minimalize(r: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     return MonomialIdeal(r=r, gens=tuple(minimal))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def gens_array(ideal: MonomialIdeal) -> np.ndarray:
     arr = np.array(ideal.gens, dtype=np.int16) if ideal.gens else np.zeros((0, ideal.r), dtype=np.int16)
     arr.setflags(write=False)
@@ -136,7 +141,7 @@ def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return minimalize(a.r, prods)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     if n < 0:
         raise ValueError("power must be nonnegative")

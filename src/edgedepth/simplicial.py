@@ -1,15 +1,22 @@
 """Abstract simplicial complexes and exact reduced simplicial homology.
 
+A complex is a down-closed set of face masks over its sorted universe: bit
+i of a mask stands for the i-th smallest vertex label.  Producers that
+already hold masks (the depth scan's face bitmaps, the degree complexes of
+the test oracles) build the record directly; from_facets builds it by
+closing the facets under subsets.  Facets are derived from the faces.
+
 The void complex (no faces at all) and the irrelevant complex {emptyset}
 are distinct: the former has all reduced homology zero, the latter has
-one-dimensional homology in degree -1.  Ranks are computed exactly, over
-the rationals (fraction-free integer elimination) or over a prime field.
+one-dimensional homology in degree -1.  Boundary matrices come straight
+from the masks, one grade of faces at a time, and ranks are computed
+exactly, over the rationals (fraction-free integer elimination) or over a
+prime field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import TooLargeError
 
@@ -44,16 +51,20 @@ QQ = FieldChoice.rationals()
 
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """A complex on the sorted vertex labels in universe.  Each face is an
+    int mask over positions in universe (bit i stands for universe[i]);
+    faces must be closed under subsets."""
+
     universe: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...]
+    faces: frozenset[int]
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.faces
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.facets == ((),)
+        return self.faces == {0}
 
     @property
     def dim(self) -> int:
@@ -61,29 +72,56 @@ class SimplicialComplex:
         the void complex."""
         if self.is_void:
             raise ValueError("void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return max(s.bit_count() for s in self.faces) - 1
 
-    def __contains__(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return any(fs <= set(f) for f in self.facets)
+    def _facet_masks(self) -> list[int]:
+        bits = [1 << i for i in range(len(self.universe))]
+        return [s for s in self.faces if all(s & b or s | b not in self.faces for b in bits)]
+
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal faces as sorted label tuples, in sorted order."""
+        return tuple(sorted(
+            tuple(v for i, v in enumerate(self.universe) if s >> i & 1)
+            for s in self._facet_masks()
+        ))
+
+
+def submasks(mask: int) -> list[int]:
+    """Every submask of mask, mask itself first and 0 last."""
+    out = []
+    s = mask
+    while True:
+        out.append(s)
+        if s == 0:
+            return out
+        s = (s - 1) & mask
 
 
 def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> SimplicialComplex:
+    """The complex generated by facets (maximality is not required); more
+    than MAX_FACES_DEFAULT faces raises TooLargeError."""
     uni = tuple(sorted(set(int(v) for v in universe)))
-    uset = set(uni)
-    cand = {tuple(sorted(set(int(v) for v in f))) for f in facets}
-    for f in cand:
-        if not set(f) <= uset:
-            raise ValueError(f"facet {f} not contained in the universe")
-    maximal = [
-        f for f in cand if not any(g != f and set(f) <= set(g) for g in cand)
-    ]
-    maximal.sort()
-    return SimplicialComplex(universe=uni, facets=tuple(maximal))
+    pos = {v: i for i, v in enumerate(uni)}
+    faces: set[int] = set()
+    too_many = f"complex has more than {MAX_FACES_DEFAULT} faces (the face cap)"
+    for f in facets:
+        labels = set(int(v) for v in f)
+        if not labels <= pos.keys():
+            raise ValueError(f"facet {tuple(sorted(labels))} not contained in the universe")
+        # a facet of k vertices brings 2^k faces; refuse before listing them
+        if 1 << len(labels) > MAX_FACES_DEFAULT:
+            raise TooLargeError(too_many)
+        top = sum(1 << pos[v] for v in labels)
+        if top not in faces:
+            faces.update(submasks(top))
+        if len(faces) > MAX_FACES_DEFAULT:
+            raise TooLargeError(too_many)
+    return SimplicialComplex(universe=uni, faces=frozenset(faces))
 
 
 def void_complex(universe: Iterable[int] = ()) -> SimplicialComplex:
-    return SimplicialComplex(universe=tuple(sorted(set(universe))), facets=())
+    return SimplicialComplex(universe=tuple(sorted(set(universe))), faces=frozenset())
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -91,43 +129,20 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     void complex gives the void complex; {emptyset} is the identity."""
     if set(a.universe) & set(b.universe):
         raise ValueError("join requires disjoint universes")
-    uni = a.universe + b.universe
-    if a.is_void or b.is_void:
-        return void_complex(uni)
-    facets = [tuple(sorted(fa + fb)) for fa in a.facets for fb in b.facets]
-    return from_facets(uni, facets)
+    facets = [fa + fb for fa in a.facets for fb in b.facets]
+    return from_facets(a.universe + b.universe, facets)
 
 
 def is_cone(cx: SimplicialComplex) -> Optional[int]:
     """A vertex contained in every facet, or None."""
     if cx.is_void or cx.is_irrelevant:
         return None
-    common = set(cx.facets[0])
-    for f in cx.facets[1:]:
-        common &= set(f)
-        if not common:
-            return None
-    return min(common)
-
-
-def faces_by_dim(cx: SimplicialComplex, max_faces: int = MAX_FACES_DEFAULT) -> dict[int, list[tuple[int, ...]]]:
-    """All faces grouped by dimension, each list sorted.  Includes the empty
-    face at dimension -1 for any nonvoid complex."""
-    if cx.is_void:
-        return {}
-    faces: set[tuple[int, ...]] = set()
-    for f in cx.facets:
-        for k in range(len(f) + 1):
-            for sub in combinations(f, k):
-                faces.add(sub)
-                if len(faces) > max_faces:
-                    raise TooLargeError(f"complex has more than {max_faces} faces")
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for f in faces:
-        out.setdefault(len(f) - 1, []).append(f)
-    for lst in out.values():
-        lst.sort()
-    return out
+    common = -1
+    for s in cx._facet_masks():
+        common &= s
+    if not common:
+        return None
+    return cx.universe[(common & -common).bit_length() - 1]
 
 
 def _rank_rationals(rows: list[list[int]]) -> int:
@@ -198,25 +213,7 @@ def _matrix_rank(rows: list[list[int]], field: FieldChoice) -> int:
     return _rank_gf(rows, field.p)
 
 
-def _boundary_matrix(
-    lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]
-) -> list[list[int]]:
-    """Matrix of the boundary map C_d -> C_{d-1}; rows indexed by lower
-    faces, columns by upper faces, entries the alternating signs."""
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        for k in range(len(f)):
-            sub = f[:k] + f[k + 1 :]
-            rows[index[sub]][j] = (-1) ** k
-    return rows
-
-
-def reduced_homology_dims(
-    cx: SimplicialComplex,
-    field: FieldChoice = QQ,
-    max_faces: int = MAX_FACES_DEFAULT,
-) -> dict[int, int]:
+def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dict[int, int]:
     """Dimensions of the reduced homology groups, indexed -1..dim.
 
     The void complex yields an empty dict (all groups zero).  The empty
@@ -225,15 +222,28 @@ def reduced_homology_dims(
     """
     if cx.is_void:
         return {}
-    faces = faces_by_dim(cx, max_faces=max_faces)
-    top = max(faces)
+    by_dim: dict[int, list[int]] = {}
+    for s in sorted(cx.faces):
+        by_dim.setdefault(s.bit_count() - 1, []).append(s)
+    top = max(by_dim)
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
-        ranks[d] = _matrix_rank(_boundary_matrix(faces[d - 1], faces[d]), field)
-    dims: dict[int, int] = {}
-    for d in range(-1, top + 1):
-        dims[d] = len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return dims
+        # boundary C_d -> C_{d-1}: a row per (d-1)-face, a column per d-face;
+        # dropping the k-th vertex of a face carries the sign (-1)^k
+        index = {s: i for i, s in enumerate(by_dim[d - 1])}
+        rows = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        for j, s in enumerate(by_dim[d]):
+            rest, sign = s, 1
+            while rest:
+                low = rest & -rest
+                rows[index[s ^ low]][j] = sign
+                rest ^= low
+                sign = -sign
+        ranks[d] = _matrix_rank(rows, field)
+    return {
+        d: len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        for d in range(-1, top + 1)
+    }
 
 
 def min_nonvanishing_reduced_homology(
@@ -250,7 +260,4 @@ def min_nonvanishing_reduced_homology(
 
 def euler_characteristic_reduced(cx: SimplicialComplex) -> int:
     """Alternating sum over all faces including the empty one; 0 for void."""
-    if cx.is_void:
-        return 0
-    faces = faces_by_dim(cx)
-    return sum((-1) ** d * len(fs) for d, fs in faces.items())
+    return sum(-1 if s.bit_count() % 2 == 0 else 1 for s in cx.faces)

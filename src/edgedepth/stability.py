@@ -17,7 +17,6 @@ and 2k_i - 1 the largest odd cycle length of a nonbipartite one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .depth import MAX_R_DEFAULT, depth_power, takayama_complex
 from .errors import (
@@ -160,10 +159,7 @@ class DstabReport:
 
 
 def dstab_formula(
-    g: Graph,
-    verify_remark_cases: bool = True,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
+    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
@@ -186,11 +182,7 @@ def dstab_formula(
         elif prof.kind == "unicyclic":
             res = dstab_unicyclic(sub)
             problem = ""
-            if (
-                verify_remark_cases
-                and res.note.startswith("four-cycle")
-                and res.note != "four-cycle-pure"
-            ):
+            if res.note.startswith("four-cycle") and res.note != "four-cycle-pure":
                 try:
                     oracle = dstab_oracle(sub, field=field, max_r=max_r)
                     problem = "" if oracle == res.value else f"disagrees with oracle {oracle}"

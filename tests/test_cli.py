@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -157,6 +159,9 @@ def test_exit_code_caps(graph_file, capsys):
     path = graph_file("c6.txt", C6_TEXT)
     code, _, _ = run(capsys, ["--max-r", "4", "analyze", path])
     assert code == 3
+    facet = json.dumps([list(range(1, 22))])  # 2^21 faces
+    code, _, err = run(capsys, ["homology", "--facets", facet])
+    assert code == 3 and "face cap" in err
 
 
 def test_exit_code_bad_field(graph_file, capsys):
@@ -198,3 +203,33 @@ def test_dstab_field(graph_file, capsys, monkeypatch):
     code, out, _ = run(capsys, ["--format", "json", "--field", "gf:2", "dstab", path])
     assert code == 0 and json.loads(out)["match"] is True
     assert fields and set(fields) == {FieldChoice.gf(2)}
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+def test_closed_stdout_keeps_exit_code(graph_file, capsys, monkeypatch, tmp_path):
+    path = graph_file("c6.txt", C6_TEXT)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["--format", "json", "analyze", path]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(stability, "dstab_oracle", lambda g, **kwargs: 99)
+        assert main(["dstab", path]) == 4
+        assert "mismatch" in capsys.readouterr().err
+    finally:
+        os.close(fd)

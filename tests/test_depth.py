@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import cycle_edges, path_edges, random_connected_graph, random_graph
 from edgedepth.depth import (
+    _homology,
     betti_depth_crosscheck,
     bipartite_power_complex,
     depth_bruteforce,
@@ -24,14 +26,13 @@ from edgedepth.monomials import (
     edge_ideal,
     localize,
     minimalize,
-    multiply,
     power,
 )
 from edgedepth.simplicial import (
     QQ,
     FieldChoice,
     from_facets,
-    is_cone,
+    min_nonvanishing_reduced_homology,
     reduced_homology_dims,
     void_complex,
 )
@@ -189,6 +190,21 @@ def test_depth_certificate_witness():
         checked += 1
         for n in (1, 2, 3):
             _assert_witness(depth_power(g, n), power(edge_ideal(g), n))
+
+
+def test_packed_bitmap_homology_matches_facet_route():
+    # the scan hands homology a complex packed as a bitmap over all 2^m
+    # vertex sets; the same complex built from its facets must agree
+    rng = random.Random(61)
+    for _ in range(80):
+        m = rng.randint(1, 6)
+        facets = [rng.sample(range(m), rng.randint(0, m)) for _ in range(rng.randint(0, 5))]
+        tops = [sum(1 << v for v in f) for f in facets]
+        bitmap = np.array([any(s & ~t == 0 for t in tops) for s in range(1 << m)])
+        key = np.packbits(bitmap, bitorder="little").tobytes().rstrip(b"\0")
+        cx = from_facets(range(1, m + 1), [[v + 1 for v in f] for f in facets])
+        for field in (QQ, FieldChoice.gf(2)):
+            assert _homology(key, field) == min_nonvanishing_reduced_homology(cx, field)
 
 
 def test_depth_c3_powers():

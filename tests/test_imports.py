@@ -1,0 +1,62 @@
+"""Source hygiene: every imported name in src/ and tests/ is used."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level __all__ list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name read in the module, including those inside string
+    annotations such as -> "FieldChoice"."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for field in ("annotation", "returns"):
+            ann = getattr(node, field, None)
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def unused_imports(source: str, is_package_init: bool) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    used = _used_names(tree)
+    if is_package_init:
+        used |= _exported(tree)
+    return [f"line {line}: {name}" for line, name in sorted(imported) if name not in used]
+
+
+def test_unused_imports_detected():
+    src = "from __future__ import annotations\nimport os, sys\nfrom a import b as c\nprint(sys)\n"
+    assert unused_imports(src, False) == ["line 2: os", "line 3: c"]
+    assert unused_imports("from .m import f\n__all__ = ['f']\n", True) == []
+    assert unused_imports("from .m import f\n__all__ = ['f']\n", False) == ["line 1: f"]
+    assert unused_imports('from typing import Optional\ndef g() -> "Optional[int]": ...\n', False) == []
+
+
+def test_no_unused_imports():
+    bad = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for problem in unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py"):
+            bad.append(f"{path.relative_to(ROOT)} {problem}")
+    assert bad == []

@@ -14,12 +14,14 @@ from conftest import (
 )
 from edgedepth.graphs import build_graph
 from edgedepth.monomials import (
+    CACHE_ENTRIES,
     MonomialIdeal,
     add,
     associated_primes_bruteforce,
     colon,
     contains,
     edge_ideal,
+    gens_array,
     intersect,
     localize,
     maximal_ideal,
@@ -204,6 +206,15 @@ def test_associated_primes_match_naive_colon_scan():
 def test_power_cache_returns_same_object():
     ideal = edge_ideal(build_graph(path_edges(4)))
     assert power(ideal, 3) is power(ideal, 3)
+
+
+def test_caches_are_bounded():
+    for k in range(1, CACHE_ENTRIES + 10):
+        ideal = minimalize(1, [(k,)])
+        power(ideal, 1)
+        gens_array(ideal)
+    assert power.cache_info().currsize <= CACHE_ENTRIES
+    assert gens_array.cache_info().currsize <= CACHE_ENTRIES
 
 
 def test_ass_unit_rejected():

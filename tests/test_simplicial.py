@@ -23,6 +23,20 @@ def test_facet_pruning_and_canonical_order():
     assert cx.facets == ((1,), (2, 3))
     same = from_facets([1, 2, 3], [[1], [2, 3], [3, 2], [2]])
     assert cx == same
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(0, n))
+            for _ in range(rng.randint(1, 6))
+        ]
+        sets = {frozenset(f) for f in facets}
+        maximal = sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets))
+        cx = from_facets(range(1, n + 1), facets)
+        assert cx.facets == tuple(maximal)
+        # listed backwards, with a sub-face of each facet added
+        again = [f[::-1] for f in facets[::-1]] + [f[1:] for f in facets]
+        assert from_facets(range(n, 0, -1), again) == cx
 
 
 def test_void_vs_irrelevant():
