@@ -10,6 +10,7 @@ state and each minimal completion V to a vertex cover.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -36,7 +37,6 @@ from .monomials import (
     contains,
     edge_ideal,
     maximal_ideal,
-    monomial_mul,
     power,
 )
 
@@ -62,46 +62,64 @@ def _validate_unicyclic_nonbipartite(g: Graph) -> tuple[tuple[int, ...], int]:
 
 
 def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...]:
-    """All distinct states (R_n, B_n, d_n) reachable at level n."""
+    """All distinct states (R_n, B_n, d_n) reachable at level n.
+
+    A step's effect on (R, B) does not depend on d, so the walk keeps, for
+    each (R, B) as a pair of vertex bitmasks, the set of its d values.  Each
+    d is packed into one int with a field of (2n - 1).bit_length() bits per
+    variable (d has degree at most 2n - 1), so a step adds x_i x_j to d by
+    one integer addition.
+    """
     cycle, k = _validate_unicyclic_nonbipartite(g)
     if n < k:
         raise LevelBelowStartError(f"level {n} is below the start level k={k}")
     if n > g.r + MAX_LEVEL_MARGIN:
         raise TooLargeError(f"cover walk capped at level r + {MAX_LEVEL_MARGIN}")
-    r_init = frozenset(cycle)
-    b_init = frozenset(w for v in r_init for w in g.neighbors(v)) - r_init
-    d_init = [0] * g.r
+    width = (2 * n - 1).bit_length()
+    unit = {v: 1 << width * (v - 1) for v in g.vertices}
+    nbrs = {v: sum(1 << w - 1 for w in g.neighbors(v)) for v in g.vertices}
+    r_init = sum(1 << v - 1 for v in cycle)
+    b_init = 0
     for v in cycle:
-        d_init[v - 1] = 1
-    states: set[tuple[frozenset, frozenset, Monomial]] = {
-        (r_init, b_init, tuple(d_init))
+        b_init |= nbrs[v]
+    groups: dict[tuple[int, int], set[int]] = {
+        (r_init, b_init & ~r_init): {sum(unit[v] for v in cycle)}
     }
     for level in range(k, n):
-        nxt: set[tuple[frozenset, frozenset, Monomial]] = set()
-        for r_set, b_set, d in states:
-            for i in r_set:
+        nxt: dict[tuple[int, int], set[int]] = {}
+        for (r_set, b_set), ds in groups.items():
+            # the step monomials x_i x_j of each successor (R, B)
+            moves: dict[tuple[int, int], set[int]] = {}
+            for i in _members(r_set):
                 for j in g.neighbors(i):
-                    step = [0] * g.r
-                    step[i - 1] += 1
-                    step[j - 1] += 1
-                    d2 = monomial_mul(d, tuple(step))
-                    if j in r_set:
-                        nxt.add((r_set, b_set, d2))
-                    elif j in b_set:
-                        r2 = r_set | {j}
-                        b2 = (b_set | set(g.neighbors(j))) - r2
-                        nxt.add((r2, frozenset(b2), d2))
-        states = nxt
+                    if r_set >> j - 1 & 1:
+                        key = (r_set, b_set)
+                    else:  # j is in B, since B = N(R) - R
+                        r2 = r_set | 1 << j - 1
+                        key = (r2, (b_set | nbrs[j]) & ~r2)
+                    moves.setdefault(key, set()).add(unit[i] + unit[j])
+            for key, steps in moves.items():
+                nxt.setdefault(key, set()).update(d + s for d in ds for s in steps)
+        groups = nxt
         if trace:
-            import sys
-
-            print(f"level {level + 1}: {len(states)} states", file=sys.stderr)
-    out = [
-        CoverState(n, tuple(sorted(r_set)), tuple(sorted(b_set)), d)
-        for r_set, b_set, d in states
-    ]
+            count = sum(len(ds) for ds in groups.values())
+            print(f"level {level + 1}: {count} states", file=sys.stderr)
+    low = (1 << width) - 1
+    shifts = [width * (v - 1) for v in range(1, g.r + 1)]
+    out = []
+    for (r_set, b_set), ds in groups.items():
+        r_tuple, b_tuple = tuple(_members(r_set)), tuple(_members(b_set))
+        out.extend(
+            CoverState(n, r_tuple, b_tuple, tuple(d >> s & low for s in shifts))
+            for d in ds
+        )
     out.sort(key=lambda s: (s.r_set, s.b_set, s.d))
     return tuple(out)
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask (bit v - 1 stands for v), ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _minimal_cover_completions(
@@ -123,13 +141,18 @@ def _minimal_cover_completions(
     return sorted(tuple(sorted(s)) for s in minimal)
 
 
-def ass_formula(g: Graph, n: int) -> tuple[tuple[int, ...], ...]:
-    """Ass(R/I(g)^n) for connected unicyclic nonbipartite g."""
+def ass_formula(
+    g: Graph, n: int, trace: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Ass(R/I(g)^n) for connected unicyclic nonbipartite g; trace prints
+    the walk's per-level state counts to stderr."""
     _, k = _validate_unicyclic_nonbipartite(g)
     primes = {tuple(c) for c in minimal_vertex_covers(g)}
     if n >= k:
-        for state in cover_states(g, n):
-            covered = set(state.r_set) | set(state.b_set)
+        # the primes of a state depend only on R + B, so each distinct
+        # cover is completed once
+        states = cover_states(g, n, trace=trace)
+        for covered in {frozenset(s.r_set + s.b_set) for s in states}:
             for completion in _minimal_cover_completions(g, covered):
                 primes.add(tuple(sorted(covered | set(completion))))
     return tuple(sorted(primes))

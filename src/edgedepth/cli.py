@@ -159,21 +159,17 @@ def cmd_ass(args) -> int:
     if n < 1:
         raise ParseError("--power must be >= 1")
     method = args.method
+    payload: dict = {"power": n}
+    formula_result = brute_result = None
     if method == "auto":
         try:
-            assoc.ass_formula(g, n)
+            formula_result = assoc.ass_formula(g, n, trace=args.trace)
             method = "both"
         except EdgeIdealError:
             method = "bruteforce"
-    payload: dict = {"power": n}
-    formula_result = brute_result = None
-    if method in ("formula", "both"):
-        if args.trace:
-            prof = graphs.cycle_profile(g)
-            k = (len(prof.unique_cycle) + 1) // 2
-            if n >= k:
-                assoc.cover_states(g, n, trace=True)
-        formula_result = assoc.ass_formula(g, n)
+    elif method in ("formula", "both"):
+        formula_result = assoc.ass_formula(g, n, trace=args.trace)
+    if formula_result is not None:
         payload["formula"] = [list(p) for p in formula_result]
     if method in ("bruteforce", "both"):
         ideal = monomials.power(monomials.edge_ideal(g), n)

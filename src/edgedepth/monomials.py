@@ -7,6 +7,7 @@ the exponent vector of all zeros.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -22,6 +23,10 @@ Monomial = tuple[int, ...]
 # long-running process stays bounded.  One pass of a bench/ workload (many
 # CLI jobs in one process) fills at most 54, so it meets no extra miss.
 CACHE_ENTRIES = 256
+
+# Cells per chunk of the colon scan.  A chunk holds a few (cells, words)
+# uint64 bitsets per variable; much larger chunks raise the peak RSS.
+COLON_CHUNK_CELLS = 4096
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -211,6 +216,14 @@ def symbolic_member(g: Graph, n: int, m: Sequence[int]) -> bool:
     return True
 
 
+def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
+    """Boolean (k, n) rows as (k, words) uint64 bitsets, padding bits zero."""
+    packed = np.zeros((len(bits), 8 * words), dtype=np.uint8)
+    row_bytes = np.packbits(bits, axis=1, bitorder="little")
+    packed[:, : row_bytes.shape[1]] = row_bytes
+    return packed.view(np.uint64)
+
+
 def associated_primes_bruteforce(
     ideal: MonomialIdeal, max_cells: int = 2_000_000
 ) -> tuple[tuple[int, ...], ...]:
@@ -220,40 +233,57 @@ def associated_primes_bruteforce(
     below the componentwise lcm of the generators, and (I : m) is such a
     prime iff m is not in I and every generator has an exponent above m in
     S = {i : m*x_i in I}.
+
+    Every cell of the box is tested, on bitsets of generators: le[i][v]
+    holds the generators g with g_i <= v, so the generators dividing m are
+    the AND over i of le[i][m_i].  m*x_i swaps in le[i][m_i + 1], which the
+    prefix and suffix ANDs of the other variables make cheap, and the last
+    condition says no generator lies in le[i][m_i] for all i in S at once.
     """
     if ideal.is_zero:
         return ()
     if ideal.is_unit:
         raise ValueError("unit ideal has no associated primes")
     r = ideal.r
-    arr = gens_array(ideal).astype(np.int64)
-    lcm = arr.max(axis=0)
+    arr = gens_array(ideal)
+    lcm = [int(e) for e in arr.max(axis=0)]
     cells = 1
     for e in lcm:
-        cells *= int(e) + 1
+        cells *= e + 1
     if cells > max_cells:
         raise TooLargeError(f"scan box has {cells} cells, cap is {max_cells}")
-    grids = np.meshgrid(*[np.arange(int(e) + 1) for e in lcm], indexing="ij")
-    box = np.stack([gr.ravel() for gr in grids], axis=1)  # (N, r)
-    primes: set[tuple[int, ...]] = set()
-    chunk = max(1, 4_000_000 // max(1, len(arr) * r))
-    for off in range(0, len(box), chunk):
-        m_chunk = box[off : off + chunk]
-        ge = m_chunk[:, None, :] >= arr[None, :, :]  # (c, g, r)
-        member = ge.all(axis=2).any(axis=1)
-        cand = ~member
+    words = (len(arr) + 63) // 64
+    le = [
+        _pack_rows(arr[None, :, i] <= np.arange(e + 2)[:, None], words)
+        for i, e in enumerate(lcm)
+    ]
+    full = _pack_rows(np.ones((1, len(arr)), dtype=bool), words)
+    strides = [math.prod(e + 1 for e in lcm[i + 1 :]) for i in range(r)]
+    weights = 1 << np.arange(r, dtype=np.int64)
+    codes: set[int] = set()
+    for off in range(0, cells, COLON_CHUNK_CELLS):
+        idx = np.arange(off, min(off + COLON_CHUNK_CELLS, cells), dtype=np.int64)
+        m = [idx // strides[i] % (e + 1) for i, e in enumerate(lcm)]
+        below = [le[i][m[i]] for i in range(r)]  # generators with g_i <= m_i
+        divisors = full
+        for b in below:
+            divisors = divisors & b
+        cand = ~divisors.any(axis=1)  # m not in I
         if not cand.any():
             continue
-        mc = m_chunk[cand]
-        gt = arr[None, :, :] > mc[:, None, :]  # (c', g, r)
-        # S[i] = 1 iff m * x_i in I: bumping coordinate i rescues exactly the
-        # generators that fail only at i by one.
-        s_mask = np.zeros((len(mc), r), dtype=bool)
+        m = [mi[cand] for mi in m]
+        below = [b[cand] for b in below]
+        prefix = [full]
+        for b in below[:-1]:
+            prefix.append(prefix[-1] & b)
+        suffix = full
+        s_mask = np.zeros((len(m[0]), r), dtype=bool)
+        for i in range(r - 1, -1, -1):
+            s_mask[:, i] = (prefix[i] & suffix & le[i][m[i] + 1]).any(axis=1)
+            suffix = suffix & below[i]
+        rest = full
         for i in range(r):
-            bumped = mc.copy()
-            bumped[:, i] += 1
-            s_mask[:, i] = (bumped[:, None, :] >= arr[None, :, :]).all(axis=2).any(axis=1)
-        ok = (gt & s_mask[:, None, :]).any(axis=2).all(axis=1)
-        for row in s_mask[ok]:
-            primes.add(tuple(int(i + 1) for i in range(r) if row[i]))
-    return tuple(sorted(primes))
+            rest = rest & np.where(s_mask[:, i, None], below[i], full)
+        ok = ~rest.any(axis=1)
+        codes.update(np.unique(s_mask[ok] @ weights).tolist())
+    return tuple(sorted(tuple(i + 1 for i in range(r) if c >> i & 1) for c in codes))

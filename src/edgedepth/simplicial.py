@@ -134,15 +134,21 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 
 def is_cone(cx: SimplicialComplex) -> Optional[int]:
-    """A vertex contained in every facet, or None."""
-    if cx.is_void or cx.is_irrelevant:
+    """The least vertex contained in every facet, or None.  Removing v maps
+    the faces through v one-to-one into the faces without v, and onto them
+    exactly when v lies in every facet, so v is such a vertex iff it lies
+    in exactly half of the faces."""
+    if cx.is_void:
         return None
-    common = -1
-    for s in cx._facet_masks():
-        common &= s
-    if not common:
-        return None
-    return cx.universe[(common & -common).bit_length() - 1]
+    for i, v in enumerate(cx.universe):
+        bit = 1 << i
+        through = 0
+        for s in cx.faces:
+            if s & bit:
+                through += 1
+        if 2 * through == len(cx.faces):
+            return v
+    return None
 
 
 def _rank_rationals(rows: list[list[int]]) -> int:
@@ -218,10 +224,17 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dic
 
     The void complex yields an empty dict (all groups zero).  The empty
     face is a genuine chain group generator, so {emptyset} reports
-    {-1: 1}.
+    {-1: 1}.  A cone is acyclic, so it reports zeros without any rank.
     """
     if cx.is_void:
         return {}
+    if is_cone(cx) is not None:
+        return {d: 0 for d in range(-1, cx.dim + 1)}
+    return _rank_homology_dims(cx, field)
+
+
+def _rank_homology_dims(cx: SimplicialComplex, field: FieldChoice) -> dict[int, int]:
+    """Reduced homology of a non-void complex from its boundary ranks."""
     by_dim: dict[int, list[int]] = {}
     for s in sorted(cx.faces):
         by_dim.setdefault(s.bit_count() - 1, []).append(s)

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import complete_edges, cycle_edges, path_edges
 from edgedepth.assoc import (
+    MAX_LEVEL_MARGIN,
+    CoverState,
     ass_formula,
     cover_states,
     nonbipartite_depth_zero_bound,
@@ -16,13 +18,15 @@ from edgedepth.errors import (
     LevelBelowStartError,
     NotNonbipartiteError,
     NotUnicyclicNonbipartiteError,
+    TooLargeError,
 )
-from edgedepth.graphs import build_graph, leaf_edges, minimal_vertex_covers
+from edgedepth.graphs import build_graph, cycle_profile, leaf_edges, minimal_vertex_covers
 from edgedepth.monomials import (
     associated_primes_bruteforce,
     colon,
     edge_ideal,
     maximal_ideal,
+    monomial_mul,
     power,
 )
 from edgedepth.stability import dstab_formula
@@ -38,6 +42,65 @@ def test_cover_states_triangle_levels():
     # one step multiplies d by an edge, so degree 5 split over three choices
     level3 = cover_states(c3, 3)
     assert sorted(s.d for s in level3) == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+
+
+def _reference_walk(g, top):
+    """The tuple/frozenset walk that cover_states replaced, kept as an
+    oracle: {level: sorted states} for every level from k to top."""
+    cycle = cycle_profile(g).unique_cycle
+    k = (len(cycle) + 1) // 2
+    r_init = frozenset(cycle)
+    b_init = frozenset(w for v in r_init for w in g.neighbors(v)) - r_init
+    d_init = [0] * g.r
+    for v in cycle:
+        d_init[v - 1] = 1
+    states = {(r_init, b_init, tuple(d_init))}
+    by_level = {}
+    for level in range(k, top + 1):
+        out = [
+            CoverState(level, tuple(sorted(r_set)), tuple(sorted(b_set)), d)
+            for r_set, b_set, d in states
+        ]
+        out.sort(key=lambda s: (s.r_set, s.b_set, s.d))
+        by_level[level] = tuple(out)
+        nxt = set()
+        for r_set, b_set, d in states:
+            for i in r_set:
+                for j in g.neighbors(i):
+                    step = [0] * g.r
+                    step[i - 1] += 1
+                    step[j - 1] += 1
+                    d2 = monomial_mul(d, tuple(step))
+                    if j in r_set:
+                        nxt.add((r_set, b_set, d2))
+                    elif j in b_set:
+                        r2 = r_set | {j}
+                        b2 = (b_set | set(g.neighbors(j))) - r2
+                        nxt.add((r2, frozenset(b2), d2))
+        states = nxt
+    return by_level
+
+
+def test_cover_states_match_reference_walk():
+    graphs = []
+    for length, tails in ((3, 3), (5, 2), (7, 1), (9, 0)):
+        for t in range(tails + 1):
+            # a pendant path of t vertices hanging off vertex `length`
+            path = [(length, length + 1)] if t else []
+            path += [(v, v + 1) for v in range(length + 1, length + t)]
+            graphs.append(build_graph(cycle_edges(length) + path))
+    rng = random.Random(89)
+    while len(graphs) < 16 + 30:
+        length = rng.choice((3, 5))
+        r = rng.randint(4, 6)
+        edges = cycle_edges(length) + [(rng.randint(1, v - 1), v) for v in range(length + 1, r + 1)]
+        graphs.append(build_graph(edges))
+    for g in graphs:
+        top = g.r + MAX_LEVEL_MARGIN
+        for level, want in _reference_walk(g, top).items():
+            assert cover_states(g, level) == want, (g.edges, level)
+    with pytest.raises(TooLargeError):
+        cover_states(g, top + 1)
 
 
 def test_cover_state_degrees():

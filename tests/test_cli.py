@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from edgedepth import stability
+from edgedepth import assoc, stability
 from edgedepth.cli import main
 from edgedepth.simplicial import FieldChoice
 
@@ -100,6 +100,25 @@ def test_ass_auto_runs_both_on_unicyclic(graph_file, capsys):
     payload = json.loads(out)
     assert payload["match"] is True
     assert [1, 2, 3] in payload["formula"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--method", "formula"], ["--method", "both"]])
+def test_ass_walks_once(graph_file, capsys, monkeypatch, extra):
+    calls = []
+    walk = assoc.cover_states
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("trace", False))
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(assoc, "cover_states", spy)
+    path = graph_file("c3.txt", C3_TEXT)
+    code, _, err = run(capsys, ["ass", path, "--power", "3", *extra])
+    assert code == 0 and calls == [False] and err == ""
+    calls.clear()
+    code, _, err = run(capsys, ["--trace", "ass", path, "--power", "3", *extra])
+    assert code == 0 and calls == [True]
+    assert err == "level 3: 3 states\n"
 
 
 def test_ass_auto_falls_back_to_bruteforce(graph_file, capsys):

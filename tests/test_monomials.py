@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
 from edgedepth.graphs import build_graph
 from edgedepth.monomials import (
     CACHE_ENTRIES,
+    COLON_CHUNK_CELLS,
     MonomialIdeal,
     add,
     associated_primes_bruteforce,
@@ -187,20 +189,42 @@ def test_associated_primes_edge_ideal_c3():
     assert associated_primes_bruteforce(sq) == ((1, 2), (1, 2, 3), (1, 3), (2, 3))
 
 
-def test_associated_primes_match_naive_colon_scan():
+def _naive_associated_primes(ideal: MonomialIdeal) -> set[tuple[int, ...]]:
     # independent route: compute (I : m) explicitly for every m in the box
+    r = ideal.r
+    lcm = [max(g[i] for g in ideal.gens) for i in range(r)]
+    primes = set()
+    for m in itertools.product(*[range(e + 1) for e in lcm]):
+        q = colon(ideal, m)
+        if not q.is_unit and all(sum(g) == 1 for g in q.gens):
+            primes.add(tuple(i + 1 for i in range(r) if any(g[i] for g in q.gens)))
+    return primes
+
+
+def test_associated_primes_match_naive_colon_scan():
     rng = random.Random(31)
-    for _ in range(25):
-        ideal = random_ideal(rng, 3)
+    ideals = [random_ideal(rng, 3) for _ in range(25)]
+    for _ in range(60):
+        r = rng.randint(1, 5)
+        ideals.append(random_ideal(rng, r, max_gens=rng.randint(1, 8), max_deg=rng.randint(1, 4)))
+    # more than 64 generators: the generator bitsets span several words
+    many = minimalize(4, [m for m in itertools.product(range(7), repeat=4) if sum(m) == 6])
+    assert len(many.gens) == 84
+    ideals.append(many)
+    k4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    ideals.append(power(edge_ideal(build_graph(k4)), 4))  # 85 generators, 5 primes
+    # an absent variable (lcm_i = 0) and a single generator
+    ideals.append(minimalize(4, [(2, 0, 1, 0), (0, 3, 1, 0), (1, 1, 0, 0)]))
+    ideals.append(minimalize(3, [(2, 0, 3)]))
+    ideals.append(minimalize(1, [(3,)]))
+    # a box of 9^4 cells, larger than one chunk
+    big = minimalize(4, [(8, 0, 1, 0), (0, 8, 0, 2), (3, 1, 8, 0), (0, 2, 2, 8), (2, 2, 2, 2)])
+    assert math.prod(max(g[i] for g in big.gens) + 1 for i in range(4)) > COLON_CHUNK_CELLS
+    ideals.append(big)
+    for ideal in ideals:
         if ideal.is_zero or ideal.is_unit:
             continue
-        lcm = [max(g[i] for g in ideal.gens) for i in range(3)]
-        expected = set()
-        for m in itertools.product(*[range(e + 1) for e in lcm]):
-            q = colon(ideal, m)
-            if not q.is_unit and all(sum(g) == 1 for g in q.gens):
-                expected.add(tuple(i + 1 for i in range(3) if any(g[i] for g in q.gens)))
-        assert set(associated_primes_bruteforce(ideal)) == expected
+        assert set(associated_primes_bruteforce(ideal)) == _naive_associated_primes(ideal), ideal
 
 
 def test_power_cache_returns_same_object():

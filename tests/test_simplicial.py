@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from edgedepth import simplicial
 from edgedepth.simplicial import (
     QQ,
     FieldChoice,
@@ -124,6 +125,37 @@ def test_cone_detection_and_acyclicity():
         cx = from_facets(range(1, n + 2), cone_facets)
         assert is_cone(cx) == 1
         assert min_nonvanishing_reduced_homology(cx) == (None, 0)
+
+
+def test_cone_shortcut_matches_rank_route():
+    rng = random.Random(47)
+    fields = (QQ, FieldChoice.gf(2), FieldChoice.gf(3))
+    cones = 0
+    for k in range(500):
+        n = rng.randint(1, 7)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(0, n))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if k % 2:  # put an apex into every facet
+            apex = rng.randint(1, n)
+            facets = [f + [apex] if apex not in f else f for f in facets]
+        cx = from_facets(range(1, n + 1), facets)
+        common = set.intersection(*(set(f) for f in cx.facets))
+        assert is_cone(cx) == (min(common) if common else None)
+        cones += bool(common)
+        for field in fields:
+            assert reduced_homology_dims(cx, field) == simplicial._rank_homology_dims(cx, field)
+    assert cones >= 250
+
+
+def test_simplex_homology_needs_no_rank(monkeypatch):
+    def no_rank(rows, field):
+        raise AssertionError("a cone needs no boundary rank")
+
+    monkeypatch.setattr(simplicial, "_matrix_rank", no_rank)
+    cx = from_facets(range(1, 12), [range(1, 12)])
+    assert reduced_homology_dims(cx) == {d: 0 for d in range(-1, 11)}
 
 
 def test_is_cone_negative():
