@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     cycle_profile,
     decompose,
+    induced_subgraph,
     is_unicyclic,
     leaf_edges,
     minimal_vertex_covers,
@@ -125,20 +126,16 @@ def _members(mask: int) -> list[int]:
 def _minimal_cover_completions(
     g: Graph, covered: Iterable[int]
 ) -> list[tuple[int, ...]]:
-    """Minimal V with covered + V a vertex cover of g."""
+    """Minimal V with covered + V a vertex cover of g: the minimal vertex
+    covers of the subgraph induced on the uncovered edges' endpoints, whose
+    edges are exactly the uncovered edges.  Labels map back in order, so the
+    sorted output stays sorted."""
     cov = set(covered)
-    uncovered = [(u, v) for u, v in g.edges if u not in cov and v not in cov]
-    if not uncovered:
+    support = {x for u, v in g.edges if u not in cov and v not in cov for x in (u, v)}
+    if not support:
         return [()]
-    support = sorted({v for e in uncovered for v in e})
-    sets = []
-    nsup = len(support)
-    for mask in range(1 << nsup):
-        cand = {support[i] for i in range(nsup) if mask >> i & 1}
-        if all(u in cand or v in cand for u, v in uncovered):
-            sets.append(frozenset(cand))
-    minimal = [s for s in sets if not any(t < s for t in sets)]
-    return sorted(tuple(sorted(s)) for s in minimal)
+    sub, labels = induced_subgraph(g, support)
+    return [tuple(labels[v - 1] for v in c) for c in minimal_vertex_covers(sub)]
 
 
 def ass_formula(

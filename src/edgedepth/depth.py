@@ -55,7 +55,6 @@ from .simplicial import (
     FieldChoice,
     SimplicialComplex,
     from_facets,
-    is_cone,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
     submasks,
@@ -352,10 +351,9 @@ def betti_depth_crosscheck(
         ))
         top = memo.get(cx)
         if top is None:
-            top = -2  # a cone is acyclic and contributes nothing
-            if is_cone(cx) is None:
-                dims = reduced_homology_dims(cx, field=field)
-                top = max((d for d, dim in dims.items() if dim), default=-2)
+            dims = reduced_homology_dims(cx, field=field)
+            # -2: an acyclic complex contributes nothing
+            top = max((d for d, dim in dims.items() if dim), default=-2)
             memo[cx] = top
         if top > -2:
             max_i = max(max_i, top + 1)

@@ -210,11 +210,13 @@ def mu_vector(g: Graph) -> tuple[int, ...]:
     return tuple(mu)
 
 
-def simple_cycles(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> tuple[tuple[int, ...], ...]:
+def simple_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All simple cycles, each listed once as a vertex tuple starting at its
     smallest vertex with the lexicographically smaller direction."""
-    if g.r > cap:
-        raise TooLargeError(f"cycle enumeration capped at {cap} vertices, got r={g.r}")
+    if g.r > MAX_VERTICES_DEFAULT:
+        raise TooLargeError(
+            f"cycle enumeration capped at {MAX_VERTICES_DEFAULT} vertices, got r={g.r}"
+        )
     cycles: list[tuple[int, ...]] = []
 
     def dfs(start: int, path: list[int], on_path: set[int]) -> None:
@@ -244,8 +246,8 @@ class CycleProfile:
     max_odd_len: Optional[int]
 
 
-def cycle_profile(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> CycleProfile:
-    cycles = simple_cycles(g, cap=cap)
+def cycle_profile(g: Graph) -> CycleProfile:
+    cycles = simple_cycles(g)
     evens = [len(c) for c in cycles if len(c) % 2 == 0]
     odds = [len(c) for c in cycles if len(c) % 2 == 1]
     if not cycles:
@@ -270,11 +272,13 @@ def is_unicyclic(g: Graph) -> bool:
     return is_connected(g) and g.num_edges == g.r
 
 
-def maximal_independent_sets(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> tuple[tuple[int, ...], ...]:
+def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal independent sets, sorted.  Bron-Kerbosch with pivoting on
     the complement graph."""
-    if g.r > cap:
-        raise TooLargeError(f"independent-set enumeration capped at {cap} vertices")
+    if g.r > MAX_VERTICES_DEFAULT:
+        raise TooLargeError(
+            f"independent-set enumeration capped at {MAX_VERTICES_DEFAULT} vertices"
+        )
     r = g.r
     full = (1 << r) - 1
     nonadj = [0] * r  # bit i set in nonadj[v] when v+1 and i+1 are non-adjacent, v != i
@@ -309,10 +313,10 @@ def maximal_independent_sets(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> tuple
     return tuple(sets)
 
 
-def minimal_vertex_covers(g: Graph, cap: int = MAX_VERTICES_DEFAULT) -> tuple[tuple[int, ...], ...]:
+def minimal_vertex_covers(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Complements of the maximal independent sets."""
     all_v = set(range(1, g.r + 1))
-    covers = [tuple(sorted(all_v - set(s))) for s in maximal_independent_sets(g, cap=cap)]
+    covers = [tuple(sorted(all_v - set(s))) for s in maximal_independent_sets(g)]
     covers.sort()
     return tuple(covers)
 

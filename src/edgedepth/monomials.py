@@ -28,6 +28,9 @@ CACHE_ENTRIES = 256
 # uint64 bitsets per variable; much larger chunks raise the peak RSS.
 COLON_CHUNK_CELLS = 4096
 
+# Cells of the largest lcm box the colon scan will visit.
+MAX_COLON_CELLS = 2_000_000
+
 
 def monomial_degree(m: Monomial) -> int:
     return sum(m)
@@ -224,9 +227,7 @@ def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def associated_primes_bruteforce(
-    ideal: MonomialIdeal, max_cells: int = 2_000_000
-) -> tuple[tuple[int, ...], ...]:
+def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Associated primes of R/I by exhaustive colon scan.
 
     P is associated iff P = (I : m) for a monomial m; it suffices to scan m
@@ -250,8 +251,8 @@ def associated_primes_bruteforce(
     cells = 1
     for e in lcm:
         cells *= e + 1
-    if cells > max_cells:
-        raise TooLargeError(f"scan box has {cells} cells, cap is {max_cells}")
+    if cells > MAX_COLON_CELLS:
+        raise TooLargeError(f"scan box has {cells} cells, cap is {MAX_COLON_CELLS}")
     words = (len(arr) + 63) // 64
     le = [
         _pack_rows(arr[None, :, i] <= np.arange(e + 2)[:, None], words)

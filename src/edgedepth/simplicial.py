@@ -9,12 +9,13 @@ closing the facets under subsets.  Facets are derived from the faces.
 The void complex (no faces at all) and the irrelevant complex {emptyset}
 are distinct: the former has all reduced homology zero, the latter has
 one-dimensional homology in degree -1.  Boundary matrices come straight
-from the masks, one grade of faces at a time, and ranks are computed
-exactly, over the rationals (fraction-free integer elimination) or over a
-prime field.
+from the masks, one grade of faces at a time, as sparse columns, and
+one column reduction computes their ranks exactly over the rationals and
+over every prime field.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -37,6 +38,9 @@ class FieldChoice:
     def gf(p: int) -> "FieldChoice":
         if p < 2:
             raise ValueError("prime must be >= 2")
+        # trial division stays fast below the bound
+        if p >= 1 << 31:
+            raise ValueError(f"prime must be < 2^31, got {p}")
         for d in range(2, int(p**0.5) + 1):
             if p % d == 0:
                 raise ValueError(f"{p} is not prime")
@@ -151,72 +155,50 @@ def is_cone(cx: SimplicialComplex) -> Optional[int]:
     return None
 
 
-def _rank_rationals(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q by fraction-free (Bareiss-style)
-    elimination."""
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
+def _boundary(s: int) -> dict[int, int]:
+    """The boundary of face s as a column keyed by its codimension-one
+    faces: dropping the k-th vertex of s carries the sign (-1)^k."""
+    col, rest, sign = {}, s, 1
+    while rest:
+        low = rest & -rest
+        col[s ^ low] = sign
+        rest ^= low
+        sign = -sign
+    return col
+
+
+def _matrix_rank(columns: Iterable[dict[int, int]], field: FieldChoice) -> int:
+    """Rank of the matrix whose columns are sparse {row: entry} dicts.
+
+    Each column is reduced by the pivot column of its largest row,
+    col = a*col - b*pivot with a, b the two entries in that row, until its
+    largest row has no pivot (it becomes that row's pivot) or it vanishes.
+    Over Q a reduced column is divided by the gcd of its entries, over GF(p)
+    its entries are taken mod p; neither changes the rank."""
+    p = field.p
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = _normalised(col, p)
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
                 break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            fi = mat[i][col]
-            row_i = mat[i]
-            row_p = mat[rank]
-            for j in range(col, ncols):
-                row_i[j] = (pivot * row_i[j] - fi * row_p[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+            a, b = piv[low], col[low]
+            col = {r: a * e for r, e in col.items()}
+            for r, e in piv.items():
+                col[r] = col.get(r, 0) - b * e
+            col = _normalised(col, p)
+    return len(pivots)
 
 
-def _rank_gf(rows: list[list[int]], p: int) -> int:
-    mat = [[e % p for e in row] for row in rows]
-    mat = [row for row in mat if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(e * inv) % p for e in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                fi = mat[i][col]
-                mat[i] = [(a - fi * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _matrix_rank(rows: list[list[int]], field: FieldChoice) -> int:
-    if not rows or not rows[0]:
-        return 0
-    if field.p is None:
-        return _rank_rationals(rows)
-    return _rank_gf(rows, field.p)
+def _normalised(col: dict[int, int], p: Optional[int]) -> dict[int, int]:
+    """col without its zero entries: mod p, or over Q divided by its gcd."""
+    if p is not None:
+        return {r: e % p for r, e in col.items() if e % p}
+    g = math.gcd(*col.values())  # 0 only when every entry is 0
+    return {r: e // g for r, e in col.items() if e} if g else {}
 
 
 def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dict[int, int]:
@@ -239,20 +221,8 @@ def _rank_homology_dims(cx: SimplicialComplex, field: FieldChoice) -> dict[int, 
     for s in sorted(cx.faces):
         by_dim.setdefault(s.bit_count() - 1, []).append(s)
     top = max(by_dim)
-    ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
-        # boundary C_d -> C_{d-1}: a row per (d-1)-face, a column per d-face;
-        # dropping the k-th vertex of a face carries the sign (-1)^k
-        index = {s: i for i, s in enumerate(by_dim[d - 1])}
-        rows = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
-        for j, s in enumerate(by_dim[d]):
-            rest, sign = s, 1
-            while rest:
-                low = rest & -rest
-                rows[index[s ^ low]][j] = sign
-                rest ^= low
-                sign = -sign
-        ranks[d] = _matrix_rank(rows, field)
+    # the boundary C_d -> C_{d-1} has a column per d-face
+    ranks = {d: _matrix_rank(map(_boundary, by_dim[d]), field) for d in range(top + 1)}
     return {
         d: len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         for d in range(-1, top + 1)

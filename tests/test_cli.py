@@ -186,6 +186,9 @@ def test_exit_code_caps(graph_file, capsys):
 def test_exit_code_bad_field(graph_file, capsys):
     code, _, _ = run(capsys, ["--field", "gf:6", "homology", "--facets", "[[1]]"])
     assert code == 2
+    huge = "gf:1000000000000000003"  # a prime too large for trial division
+    code, _, err = run(capsys, ["--field", huge, "homology", "--facets", "[[1, 2]]"])
+    assert code == 2 and "2^31" in err
 
 
 def test_deterministic_output(graph_file, capsys):

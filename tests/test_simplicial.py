@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,12 @@ def test_sphere_boundary():
     # boundary of the tetrahedron is a 2-sphere
     cx = from_facets([1, 2, 3, 4], [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
     assert reduced_homology_dims(cx) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    # the boundary of the 13-vertex simplex is an 11-sphere, and no cone
+    cx = from_facets(range(1, 14), [
+        [v for v in range(1, 14) if v != skip] for skip in range(1, 14)
+    ])
+    assert is_cone(cx) is None
+    assert reduced_homology_dims(cx) == {d: int(d == 11) for d in range(-1, 12)}
 
 
 def test_projective_plane_characteristic_dependence():
@@ -158,6 +165,51 @@ def test_simplex_homology_needs_no_rank(monkeypatch):
     assert reduced_homology_dims(cx) == {d: 0 for d in range(-1, 11)}
 
 
+def _dense_rank(columns: list[dict[int, int]], p) -> int:
+    """Rank by Gaussian elimination on dense rows, of Fractions over Q and
+    of ints mod p over GF(p); the reference for the sparse kernel."""
+    if p is None:
+        norm, inv = Fraction, lambda x: 1 / x
+    else:
+        norm, inv = (lambda x: x % p), (lambda x: pow(x, -1, p))
+    rows = sorted({r for col in columns for r in col})
+    mat = [[norm(col.get(r, 0)) for r in rows] for col in columns]
+    rank = 0
+    for j in range(len(rows)):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = norm(mat[i][j] * inv(mat[rank][j]))
+            mat[i] = [norm(a - f * b) for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_matrix_rank_matches_dense_reference():
+    rng = random.Random(53)
+    fields = (QQ, FieldChoice.gf(2), FieldChoice.gf(3), FieldChoice.gf(5))
+    for _ in range(300):
+        nrows = rng.randint(1, 8)
+        columns = []
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.random()
+            if kind < 0.1:
+                col = {r: 0 for r in rng.sample(range(nrows), rng.randint(0, nrows))}
+            elif kind < 0.25 and columns:
+                col = dict(rng.choice(columns))  # a repeated column
+            else:
+                col = {
+                    r: rng.randint(-3, 3)
+                    for r in rng.sample(range(nrows), rng.randint(1, nrows))
+                }
+            columns.append(col)
+        for field in fields:
+            expected = _dense_rank(columns, field.p)
+            assert simplicial._matrix_rank([dict(c) for c in columns], field) == expected
+
+
 def test_is_cone_negative():
     assert is_cone(from_facets([1, 2], [[1], [2]])) is None
     assert is_cone(void_complex([1])) is None
@@ -181,3 +233,6 @@ def test_euler_characteristic_matches_homology():
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         FieldChoice.gf(6)
+    with pytest.raises(ValueError, match="2\\^31"):
+        FieldChoice.gf(1_000_000_000_000_000_003)
+    assert FieldChoice.gf(2_147_483_647).p == 2_147_483_647  # the largest allowed
