@@ -155,10 +155,11 @@ def ass_formula(
     return tuple(sorted(primes))
 
 
-def witness_monomial(g: Graph) -> tuple[int, Monomial]:
-    """A monomial f of degree 2n - 1 with (I(g)^n : f) the maximal ideal,
-    at n = v - e0 - k + 1; certifies depth R/I(g)^n = 0."""
-    cycle, k = _validate_unicyclic_nonbipartite(g)
+def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
+    """n = v - e0 - k + 1 and the least d of a level-n state whose R + B is
+    every vertex, for connected unicyclic nonbipartite g; unchecked (see
+    witness_monomial)."""
+    _, k = _validate_unicyclic_nonbipartite(g)
     n = g.r - leaf_edges(g) - k + 1
     full = set(g.vertices)
     candidates = [
@@ -170,7 +171,13 @@ def witness_monomial(g: Graph) -> tuple[int, Monomial]:
         raise NoFullStateError(
             f"no level-{n} state covers every vertex; the walk should reach one"
         )
-    f = min(candidates)
+    return n, min(candidates)
+
+
+def witness_monomial(g: Graph) -> tuple[int, Monomial]:
+    """A monomial f of degree 2n - 1 with (I(g)^n : f) the maximal ideal,
+    at n = v - e0 - k + 1; certifies depth R/I(g)^n = 0."""
+    n, f = full_cover_monomial(g)
     ideal_n = power(edge_ideal(g), n)
     if contains(ideal_n, f):
         raise WitnessCheckFailedError(f"witness lies in the power: {f}")
@@ -216,13 +223,10 @@ def _spanning_unicyclic_keeping(g: Graph, cycle: tuple[int, ...]) -> Graph:
     return build_graph(sorted(edges), r=g.r)
 
 
-def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:
-    """For connected nonbipartite g: an n with depth R/I(g)^n = 0,
-    certified by (I(g)^n : f) = m for an explicit monomial f.
-
-    Built on a spanning unicyclic subgraph H that keeps a maximum odd
-    cycle; the witness for H works in g because I(H) is inside I(g).
-    """
+def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
+    """For connected nonbipartite g: the full_cover_monomial of a spanning
+    unicyclic subgraph H that keeps a maximum odd cycle; unchecked (see
+    nonbipartite_depth_zero_bound)."""
     dec = decompose(g)
     if dec.p != 1 or dec.t != 1:
         raise NotNonbipartiteError(
@@ -232,8 +236,17 @@ def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:
     odd = [c for c in cycles if len(c) % 2 == 1]
     best_len = max(len(c) for c in odd)
     cycle = min(c for c in odd if len(c) == best_len)
-    h = _spanning_unicyclic_keeping(g, cycle)
-    n, f = witness_monomial(h)
+    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle))
+
+
+def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:
+    """For connected nonbipartite g: an n with depth R/I(g)^n = 0,
+    certified by (I(g)^n : f) = m for an explicit monomial f.
+
+    Built on a spanning unicyclic subgraph H that keeps a maximum odd
+    cycle; the witness for H works in g because I(H) is inside I(g).
+    """
+    n, f = spanning_unicyclic_monomial(g)
     quotient = colon(power(edge_ideal(g), n), f)
     if quotient != maximal_ideal(g.r):
         raise WitnessCheckFailedError(

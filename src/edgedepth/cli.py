@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input/parse error, 3 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,7 +117,9 @@ def cmd_dstab(args) -> int:
         formula_report = stability.dstab_formula(g, field=field, max_r=args.max_r)
         payload["formula"] = formula_report.to_json()
     if args.method in ("oracle", "both"):
-        oracle = stability.dstab_oracle(g, field=field, max_r=args.max_r)
+        oracle = stability.dstab_oracle(
+            g, field=field, max_r=args.max_r, trace=args.trace
+        )
         payload["oracle"] = oracle
         if formula_report is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
@@ -206,7 +209,9 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="edgedepth",
         description="Depth stability of powers of edge ideals",
@@ -216,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-r", type=int, default=depth.MAX_R_DEFAULT, help="vertex-count cap"
     )
-    parser.add_argument("--trace", action="store_true", help="debug trace to stderr")
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="trace to stderr: per power for dstab, per walk level for ass",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="graph invariants and component structure")

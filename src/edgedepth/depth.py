@@ -31,12 +31,23 @@ contain none of them.  For bipartite g the atoms are the independence
 facets, chosen as above.  The scan keys cells on these choices, builds each
 distinct complex as a bitmap over all 2^r vertex sets, and computes the
 homology once per complex up to an order-preserving relabelling.
+
+Every cell's index is at least a proven floor: 0 on the generator route,
+and 1 on the facet route, since a bipartite g has no embedded primes and
+the maximal ideal is not associated.  A caller may pass hint cells, which
+go through the same keying, bitmaps and homology cache as any chunk.  A
+hint that reaches the floor proves the depth and becomes the witness; the
+box is then never scanned, so its size cap does not apply.  A hint that
+misses or lies outside the box is dropped.  Without a hit the box is
+scanned in order up to the first chunk that reaches the floor, and the
+witness is the cell of least (index, position in the box), as over the
+whole box.  So a witness is the least box cell unless hint_hit is set.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,12 +77,19 @@ MAX_BOX_DEFAULT = 5_000_000
 
 @dataclass(frozen=True)
 class DepthCertificate:
-    """Result of a depth scan with its witnessing multidegree."""
+    """Result of a depth scan with its witnessing multidegree.
+
+    cells_scanned counts the cells whose complex was looked at, hint cells
+    included, and hint_hit says whether a hint cell is the witness.  Neither
+    takes part in equality: scans that stop at different places can prove
+    the same depth with the same witness."""
 
     depth: int
     witness_alpha: tuple[int, ...]
     homology_dim: int
     scan_box: tuple[int, ...]  # per-coordinate box sizes
+    cells_scanned: int = dc_field(compare=False)
+    hint_hit: bool = dc_field(compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -79,6 +97,8 @@ class DepthCertificate:
             "witness_alpha": list(self.witness_alpha),
             "homology_dim": self.homology_dim,
             "scan_box": list(self.scan_box),
+            "cells_scanned": self.cells_scanned,
+            "hint_hit": self.hint_hit,
         }
 
 
@@ -212,27 +232,32 @@ def _scan(
     avoid: bool,
     field: FieldChoice,
     width: int,
+    floor: int,
+    hints: Sequence[Sequence[int]],
 ) -> DepthCertificate:
     """The least cohomological index over the alpha box, coordinate j
-    ranging over -1 .. sizes[j] - 2, with its witness: the cell of least
-    (index, position in the box).
+    ranging over -1 .. sizes[j] - 2, with a witness cell.
 
     A cell's complex is fixed by its negative support and by which atoms
     chosen_of(alpha) picks (a boolean row per cell), and is built by
     _face_bitmaps; width is the per-cell entry count of chosen_of's largest
     array.
+
+    floor is a proven lower bound on the depth.  The hint cells inside the
+    box are tried first; when one of them reaches the floor it is the
+    witness and nothing else is scanned.  Otherwise the box is scanned in
+    order and stops at the first chunk that reaches the floor.  As no cell
+    lies below the floor, the witness is still the cell of least
+    (cohomological index, position in the box), as a full scan finds it.
     """
     r = len(sizes)
-    n_cells = math.prod(sizes)
-    if n_cells > MAX_BOX_DEFAULT:
-        raise TooLargeError(f"scan box has {n_cells} cells, cap is {MAX_BOX_DEFAULT}")
     radix = np.array(sizes, dtype=np.int64)
     weights = np.cumprod(radix[::-1])[::-1] // radix
     bits = 1 << np.arange(r, dtype=np.int64)
-    chunk = max(1, _CHUNK_BUDGET // (width + len(atoms) + (1 << r)))
-    best = (_NO_VALUE, 0, 0)  # (value, cell, homology dim)
-    for off in range(0, n_cells, chunk):
-        cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
+
+    def least(cells: np.ndarray) -> tuple[int, int, int]:
+        """(value, cell, homology dim) of the cell of least (value, position
+        in cells)."""
         alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
         neg = (alpha < 0) @ bits
         chosen = chosen_of(alpha)
@@ -246,25 +271,56 @@ def _scan(
         hdims = np.array([h for _, h in found])[inverse]
         values = (alpha[first] < 0).sum(axis=1) + 1 + mind
         j = np.lexsort((first, values))[0]
-        if values[j] < best[0]:
-            best = (int(values[j]), off + int(first[j]), int(hdims[j]))
-    value, cell, hdim = best
-    if value == _NO_VALUE:
-        raise InternalError("depth scan found no nonvanishing local cohomology")
-    return DepthCertificate(
-        depth=value,
-        witness_alpha=tuple(int(e) for e in (cell // weights) % radix - 1),
-        homology_dim=hdim,
-        scan_box=tuple(int(s) for s in sizes),
-    )
+        return int(values[j]), int(cells[first[j]]), int(hdims[j])
+
+    def certificate(best: tuple[int, int, int], scanned: int, hit: bool) -> DepthCertificate:
+        value, cell, hdim = best
+        if value == _NO_VALUE:
+            raise InternalError("depth scan found no nonvanishing local cohomology")
+        if value < floor:
+            raise InternalError(f"depth scan found index {value} below the floor {floor}")
+        return DepthCertificate(
+            depth=value,
+            witness_alpha=tuple(int(e) for e in (cell // weights) % radix - 1),
+            homology_dim=hdim,
+            scan_box=tuple(int(s) for s in sizes),
+            cells_scanned=scanned,
+            hint_hit=hit,
+        )
+
+    inside = [
+        h for h in hints
+        if len(h) == r and all(-1 <= a <= s - 2 for a, s in zip(h, sizes))
+    ]
+    scanned = len(inside)
+    if inside:
+        best = least((np.array(inside, dtype=np.int64) + 1) @ weights)
+        if best[0] <= floor:
+            return certificate(best, scanned, True)
+    n_cells = math.prod(sizes)
+    if n_cells > MAX_BOX_DEFAULT:
+        raise TooLargeError(f"scan box has {n_cells} cells, cap is {MAX_BOX_DEFAULT}")
+    chunk = max(1, _CHUNK_BUDGET // (width + len(atoms) + (1 << r)))
+    best = (_NO_VALUE, 0, 0)
+    for off in range(0, n_cells, chunk):
+        cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
+        scanned += len(cells)
+        best = min(best, least(cells))
+        if best[0] <= floor:
+            break
+    return certificate(best, scanned, False)
 
 
 def depth_bruteforce(
-    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
+    ideal: MonomialIdeal,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
+    hints: Sequence[Sequence[int]] = (),
 ) -> DepthCertificate:
-    """Exact depth of R/I by scanning the full multidegree box.  The atoms
-    are all vertex sets; a cell chooses the violation sets of the
-    generators, and its complex avoids them."""
+    """Exact depth of R/I by scanning the multidegree box.  The atoms are
+    all vertex sets; a cell chooses the violation sets of the generators,
+    and its complex avoids them.  The floor is 0, the least index any cell
+    can have; hints are cells to try first (see _scan)."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
@@ -283,22 +339,33 @@ def depth_bruteforce(
         return chosen
 
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
-    return _scan(sizes, np.arange(1 << r), violations, True, field, len(gens))
+    return _scan(
+        sizes, np.arange(1 << r), violations, True, field, len(gens), floor=0, hints=hints
+    )
 
 
 def depth_power(
-    g: Graph, n: int, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
+    g: Graph,
+    n: int,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
+    hints: Sequence[Sequence[int]] = (),
 ) -> DepthCertificate:
-    """depth R/I(g)^n.  For bipartite g the atoms are the facets of the
-    independence complex, and a cell chooses those that contain G_a and
-    have alpha-weight at most n - 1 outside them; otherwise the scan runs on
-    the generators of the power."""
+    """depth R/I(g)^n; hints are cells to try first (see _scan).
+
+    For bipartite g the atoms are the facets of the independence complex,
+    and a cell chooses those that contain G_a and have alpha-weight at most
+    n - 1 outside them.  The floor there is 1: I(g)^n equals its symbolic
+    power, so the maximal ideal is never associated.  Otherwise the scan
+    runs on the generators of the power, with floor 0."""
     if n < 1:
         raise ValueError("power must be >= 1")
     if g.r > max_r:
         raise TooLargeError(f"depth scan capped at r={max_r}, got r={g.r}")
     if decompose(g).t:
-        return depth_bruteforce(power(edge_ideal(g), n), field=field, max_r=max_r)
+        return depth_bruteforce(
+            power(edge_ideal(g), n), field=field, max_r=max_r, hints=hints
+        )
     facets = maximal_independent_sets(g)
     atoms = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
     outside = np.array([[v not in f for v in g.vertices] for f in facets], dtype=np.int64)
@@ -307,7 +374,9 @@ def depth_power(
         # a negative coordinate outside a facet outweighs n - 1 on its own
         return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
 
-    return _scan([n + 1] * g.r, atoms, chosen_facets, False, field, len(facets))
+    return _scan(
+        [n + 1] * g.r, atoms, chosen_facets, False, field, len(facets), floor=1, hints=hints
+    )
 
 
 def depth_sequence(

@@ -321,23 +321,6 @@ def minimal_vertex_covers(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(covers)
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    """BFS distance; raises DisconnectedError when v is unreachable from u."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b in g.neighbors(a):
-            if b not in dist:
-                dist[b] = dist[a] + 1
-                if b == v:
-                    return dist[b]
-                queue.append(b)
-    raise DisconnectedError(f"no path from {u} to {v}")
-
-
 def distance_to_cycle(g: Graph, v: int, cycle: Iterable[int]) -> int:
     cyc = set(cycle)
     if v in cyc:
@@ -353,23 +336,6 @@ def distance_to_cycle(g: Graph, v: int, cycle: Iterable[int]) -> int:
                     return dist[b]
                 queue.append(b)
     raise DisconnectedError(f"vertex {v} cannot reach the cycle")
-
-
-def diameter(g: Graph) -> int:
-    best = 0
-    for u in range(1, g.r + 1):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            for b in g.neighbors(a):
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    queue.append(b)
-        if len(dist) != g.r:
-            raise DisconnectedError("diameter requires a connected graph")
-        best = max(best, max(dist.values()))
-    return best
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

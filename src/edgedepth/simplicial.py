@@ -174,11 +174,18 @@ def _matrix_rank(columns: Iterable[dict[int, int]], field: FieldChoice) -> int:
     col = a*col - b*pivot with a, b the two entries in that row, until its
     largest row has no pivot (it becomes that row's pivot) or it vanishes.
     Over Q a reduced column is divided by the gcd of its entries, over GF(p)
-    its entries are taken mod p; neither changes the rank."""
+    its entries are taken mod p; neither changes the rank.  An input column
+    without zero entries skips that step when its gcd is 1 over Q, or when
+    every entry is smaller than p in size over GF(p), as a fresh boundary
+    column (all entries 1 or -1) is."""
     p = field.p
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        col = _normalised(col, p)
+        entries = col.values()
+        if 0 in entries or (
+            math.gcd(*entries) != 1 if p is None else max(map(abs, entries), default=0) >= p
+        ):
+            col = _normalised(col, p)
         while col:
             low = max(col)
             piv = pivots.get(low)

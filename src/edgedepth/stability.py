@@ -16,11 +16,14 @@ and 2k_i - 1 the largest odd cycle length of a nonbipartite one.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 
+from .assoc import full_cover_monomial, spanning_unicyclic_monomial
 from .depth import MAX_R_DEFAULT, depth_power, takayama_complex
 from .errors import (
     InternalError,
+    NoFullStateError,
     NotConnectedBipartiteError,
     NotTreeError,
     NotUnicyclicError,
@@ -222,15 +225,59 @@ def dstab_formula(
     )
 
 
+def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
+    """The paper's witness cell of a connected g, keyed by its power: there
+    the cell's index is the scan's floor, which is then the limit depth.
+
+    A tree gets mu(g) at e - e0 + 1 and a bipartite unicyclic graph with a
+    cycle of length 2k >= 6 the peeled alpha at v - e0 - k + 1, both of
+    index 1 (D = <X, Y>).  A nonbipartite g gets the exponent of a monomial
+    f with (I^n : f) = m, of index 0 (D = {emptyset}): from the cover walk
+    when g is unicyclic, else from a spanning unicyclic subgraph.  The scan
+    checks each cell, so a cell may be wrong, and a walk that reaches no
+    full cover only costs the hint."""
+    dec = decompose(g)
+    if dec.p != 1:
+        return {}
+    if dec.t:
+        build = full_cover_monomial if is_unicyclic(g) else spanning_unicyclic_monomial
+        try:
+            n, cell = build(g)
+        except NoFullStateError:
+            return {}
+    elif is_tree(g):
+        n, cell = _mu_cell(g)
+    elif is_unicyclic(g) and len(cycle_profile(g).unique_cycle) >= 6:
+        n, cell = _unicyclic_bipartite_cell(g)
+    else:
+        return {}
+    return {n: [tuple(cell)]}
+
+
 def dstab_oracle(
-    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
+    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
 ) -> int:
     """First n with depth R/I(g)^n equal to the limit depth, by direct
-    computation.  Raises InternalError past the global bound."""
+    computation.  A connected g's witness cell (_witness_hints) is tried
+    first at its power.  trace prints each power's certificate to stderr.
+    Raises InternalError past the global bound."""
     s = depth_limit(g)
     bound = mt_bound(g)
+    # For connected g, bound = v - e0 - k + 1 and no witness power is below
+    # k, so a graph whose depth settles earlier (K_r does at n = 2) never
+    # pays for the witness construction.
+    first_hint = g.r - leaf_edges(g) + 1 - bound
+    hints: dict[int, list[tuple[int, ...]]] = {}
     for n in range(1, bound + 1):
-        cert = depth_power(g, n, field=field, max_r=max_r)
+        if n == first_hint:
+            hints = _witness_hints(g)
+        cert = depth_power(g, n, field=field, max_r=max_r, hints=hints.get(n, ()))
+        if trace:
+            print(
+                f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
+                f"hint_hit={cert.hint_hit} cells_scanned={cert.cells_scanned}",
+                file=sys.stderr,
+            )
         if cert.depth == s:
             return n
     raise InternalError(
@@ -279,9 +326,13 @@ def mu_witness(g: Graph) -> WitnessAlpha:
     dec = decompose(g)
     if dec.p != 1 or dec.t != 0:
         raise NotConnectedBipartiteError("mu witness needs a connected bipartite graph")
-    alpha = mu_vector(g)
-    n = g.num_edges - leaf_edges(g) + 1
+    n, alpha = _mu_cell(g)
     return _check_two_facet_complex(g, alpha, n)
+
+
+def _mu_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """n = e - e0 + 1 and alpha = mu(g); unchecked (see mu_witness)."""
+    return g.num_edges - leaf_edges(g) + 1, mu_vector(g)
 
 
 def _prop_alpha_unicyclic(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -332,9 +383,13 @@ def unicyclic_bipartite_witness(g: Graph) -> WitnessAlpha:
     dec = decompose(g)
     if dec.t:
         raise NotConnectedBipartiteError("witness needs a bipartite graph")
-    prof = cycle_profile(g)
-    cycle = prof.unique_cycle
-    k = len(cycle) // 2
-    alpha = _prop_alpha_unicyclic(g, cycle)
-    n = g.r - leaf_edges(g) - k + 1
+    n, alpha = _unicyclic_bipartite_cell(g)
     return _check_two_facet_complex(g, alpha, n)
+
+
+def _unicyclic_bipartite_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """n = v - e0 - k + 1 and the peeled alpha for a connected bipartite
+    unicyclic g with cycle length 2k; unchecked (see
+    unicyclic_bipartite_witness)."""
+    cycle = cycle_profile(g).unique_cycle
+    return g.r - leaf_edges(g) - len(cycle) // 2 + 1, _prop_alpha_unicyclic(g, cycle)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from edgedepth import assoc, stability
-from edgedepth.cli import main
+from edgedepth.cli import build_parser, main
 from edgedepth.simplicial import FieldChoice
 
 
@@ -26,6 +26,8 @@ C6_TEXT = "r=6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
 C3C4_TEXT = "1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7\n"
 C3_TEXT = "1 2\n2 3\n1 3\n"
 C4LEAF_TEXT = "1 2\n2 3\n3 4\n1 4\n1 5\n"
+C7_TEXT = "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
+P8_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 8))
 P11_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 11))
 
 
@@ -181,6 +183,33 @@ def test_exit_code_caps(graph_file, capsys):
     facet = json.dumps([list(range(1, 22))])  # 2^21 faces
     code, _, err = run(capsys, ["homology", "--facets", facet])
     assert code == 3 and "face cap" in err
+
+
+def test_missed_hint_over_box_cap_exits_3(graph_file, capsys, monkeypatch):
+    # P8's last power has 7^8 cells, over the box cap: only its witness
+    # cell spares the scan, so a hint that misses must end in the cap
+    path = graph_file("p8.txt", P8_TEXT)
+    code, out, _ = run(capsys, ["--format", "json", "dstab", "--method", "oracle", path])
+    assert code == 0 and json.loads(out)["oracle"] == 6
+    monkeypatch.setattr(stability, "_witness_hints", lambda g: {6: [(0,) * 8]})
+    code, _, err = run(capsys, ["dstab", "--method", "oracle", path])
+    assert code == 3 and "cap is 5000000" in err
+
+
+def test_dstab_trace_prints_each_power(graph_file, capsys):
+    path = graph_file("c7.txt", C7_TEXT)
+    code, out, err = run(capsys, ["--trace", "--format", "json", "dstab", path])
+    assert code == 0 and json.loads(out)["oracle"] == 4
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"power {n}" for n in (1, 2, 3, 4)]
+    assert "hint_hit=False" in lines[2] and "cells_scanned=16384" in lines[2]
+    assert lines[3] == (
+        "power 4: depth=0 witness=(1, 1, 1, 1, 1, 1, 1) hint_hit=True cells_scanned=1"
+    )
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_exit_code_bad_field(graph_file, capsys):

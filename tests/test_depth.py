@@ -3,12 +3,20 @@ path, and the Betti-number cross-check."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import cycle_edges, path_edges, random_connected_graph, random_graph
+from conftest import (
+    complete_edges,
+    cycle_edges,
+    path_edges,
+    random_connected_graph,
+    random_graph,
+)
+from edgedepth import depth
 from edgedepth.depth import (
     _homology,
     betti_depth_crosscheck,
@@ -233,6 +241,96 @@ def test_fast_path_agrees_with_generator_scan():
                 assert depth_power(g, n, field=field) == depth_bruteforce(
                     ideal, field=field
                 )
+
+
+def _least_cell(ideal, sizes):
+    """(value, witness, homology dim) of the cell of least (value, box
+    index), by takayama_complex and reduced_homology_dims on every cell."""
+    best = None
+    for alpha in itertools.product(*[range(-1, s - 1) for s in sizes]):
+        dims = reduced_homology_dims(takayama_complex(ideal, alpha))
+        low = min((d for d, dim in dims.items() if dim), default=None)
+        if low is None:
+            continue
+        value = sum(1 for a in alpha if a < 0) + 1 + low
+        if best is None or value < best[0]:
+            best = (value, alpha, dims[low])
+    return best
+
+
+def test_certificate_is_least_cell_of_full_box(monkeypatch):
+    # the scan may stop at its floor; the witness must still be the cell a
+    # definitional scan of the whole box picks.  Chunks of a few cells make
+    # the scan stop part way through most boxes that reach the floor.
+    monkeypatch.setattr(depth, "_CHUNK_BUDGET", 256)
+    rng = random.Random(83)
+    ideals = [
+        power(edge_ideal(build_graph(edges)), n)
+        for edges, n in [
+            (cycle_edges(3), 3),
+            (cycle_edges(5), 3),
+            (complete_edges(4), 2),
+            (cycle_edges(3) + [(3, 4), (4, 5)], 3),
+        ]
+    ]
+    while len(ideals) < 30:
+        ideal = random_ideal(rng, rng.randint(2, 4))
+        if not (ideal.is_zero or ideal.is_unit):
+            ideals.append(ideal)
+    early = 0
+    for ideal in ideals:
+        cert = depth_bruteforce(ideal)
+        sizes = [max(g[i] for g in ideal.gens) + 1 for i in range(ideal.r)]
+        assert cert.scan_box == tuple(sizes)
+        assert (cert.depth, cert.witness_alpha, cert.homology_dim) == _least_cell(ideal, sizes)
+        assert not cert.hint_hit and cert.cells_scanned <= math.prod(sizes)
+        early += cert.cells_scanned < math.prod(sizes)
+    graphs = [build_graph(path_edges(2) + path_edges(3, offset=2)),
+              build_graph(path_edges(3) + cycle_edges(4, offset=3))]
+    while len(graphs) < 10:
+        g = random_graph(rng, rng.randint(2, 5))
+        if not decompose(g).t:
+            graphs.append(g)
+    floors = 0
+    for g in graphs:
+        for n in (1, 2):
+            cert = depth_power(g, n)
+            assert cert.scan_box == (n + 1,) * g.r
+            want = _least_cell(power(edge_ideal(g), n), cert.scan_box)
+            assert (cert.depth, cert.witness_alpha, cert.homology_dim) == want
+            floors += cert.depth == 1
+            early += cert.cells_scanned < math.prod(cert.scan_box)
+    assert floors >= 5 and early >= 8 and sum(decompose(g).p > 1 for g in graphs) >= 2
+
+
+def test_scan_stops_at_floor_and_takes_hints_first():
+    c7 = build_graph(cycle_edges(7))
+    full = depth_power(c7, 4)
+    assert full.depth == 0 and not full.hint_hit
+    assert full.cells_scanned < math.prod(full.scan_box)
+    hinted = depth_power(c7, 4, hints=[(1,) * 7])
+    assert hinted.hint_hit and hinted.cells_scanned == 1
+    assert hinted.depth == 0 and hinted.witness_alpha == (1,) * 7
+    _assert_witness(hinted, power(edge_ideal(c7), 4))
+    # a cell that misses, or lies outside the box, changes nothing; (6, 1,
+    # ..., 1) is a cone, though its box index wraps round to the witness
+    c3 = depth_power(c7, 3)
+    outside = [(4,) * 7, (-2,) * 7, (6,) + (1,) * 6]
+    for hints in ([(0,) * 7], [(1,) * 6], [(0,) * 7, (9,) * 7], outside):
+        for n, want in ((3, c3), (4, full)):
+            cert = depth_power(c7, n, hints=hints)
+            assert cert == want and not cert.hint_hit
+    assert full.to_json()["cells_scanned"] == full.cells_scanned
+    assert hinted.to_json()["hint_hit"] is True
+
+
+def test_missed_hint_on_an_over_cap_box_names_the_cap():
+    p8 = build_graph(path_edges(8))  # 7^8 cells at n = 6
+    cert = depth_power(p8, 6, hints=[(0, 1, 2, 2, 2, 2, 1, 0)])
+    assert cert.hint_hit and cert.depth == 1
+    for miss in ((0,) * 8, (7, 1, 2, 2, 2, 2, 1, 0)):
+        with pytest.raises(TooLargeError, match="cap is 5000000"):
+            depth_power(p8, 6, hints=[miss])
 
 
 def test_depth_of_disjoint_blocks():

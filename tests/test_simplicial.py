@@ -210,6 +210,24 @@ def test_matrix_rank_matches_dense_reference():
             assert simplicial._matrix_rank([dict(c) for c in columns], field) == expected
 
 
+def test_fresh_boundary_columns_are_not_normalised(monkeypatch):
+    # a fresh boundary column is all 1 and -1; only the result of a
+    # reduction step, which has a zero in the row it cleared, needs the
+    # gcd or mod p pass
+    seen = []
+    real = simplicial._normalised
+
+    def spy(col, p):
+        seen.append(dict(col))
+        return real(col, p)
+
+    monkeypatch.setattr(simplicial, "_normalised", spy)
+    sphere = from_facets(range(1, 7), [[v for v in range(1, 7) if v != w] for w in range(1, 7)])
+    for field in (QQ, FieldChoice.gf(2), FieldChoice.gf(3)):
+        assert reduced_homology_dims(sphere, field) == {d: int(d == 4) for d in range(-1, 5)}
+    assert seen and all(0 in col.values() for col in seen)
+
+
 def test_is_cone_negative():
     assert is_cone(from_facets([1, 2], [[1], [2]])) is None
     assert is_cone(void_complex([1])) is None

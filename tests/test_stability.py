@@ -20,6 +20,7 @@ from edgedepth.errors import (
     TooLargeError,
 )
 from edgedepth.graphs import build_graph
+from edgedepth.monomials import edge_ideal, power
 from edgedepth.stability import (
     depth_limit,
     dstab_formula,
@@ -30,6 +31,7 @@ from edgedepth.stability import (
     mu_witness,
     unicyclic_bipartite_witness,
 )
+from test_depth import _assert_witness
 
 
 def test_depth_limit_counts_bipartite_components():
@@ -230,3 +232,65 @@ def test_oracle_equals_formula_on_exact_classes():
         rep = dstab_formula(g)
         if rep.exact:
             assert dstab_oracle(g) == rep.value
+
+
+HINTED = {
+    "C7": cycle_edges(7),
+    "C3+tail2x2": cycle_edges(3) + [(3, 4), (4, 5), (2, 6), (6, 7)],
+    "C5+tail2": cycle_edges(5) + [(5, 6), (6, 7)],
+    "C8": cycle_edges(8),
+    "C6+leaf": cycle_edges(6) + [(1, 7)],
+    "P7": path_edges(7),
+}
+
+
+def _certificates(g):
+    """dstab_oracle(g) and the (n, hints, certificate) of each power."""
+    seen = []
+    real = stability.depth_power
+
+    def spy(g, n, **kwargs):
+        cert = real(g, n, **kwargs)
+        seen.append((n, kwargs.get("hints", ()), cert))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "depth_power", spy)
+        return dstab_oracle(g), seen
+
+
+def test_every_hint_hit_is_a_witness():
+    for name, edges in HINTED.items():
+        g = build_graph(edges)
+        n0, seen = _certificates(g)
+        assert n0 == dstab_formula(g).value, name
+        hits = [(n, cert) for n, _, cert in seen if cert.hint_hit]
+        assert [n for n, _ in hits] == [n0], name
+        for n, cert in hits:
+            assert cert.depth == depth_limit(g)
+            _assert_witness(cert, power(edge_ideal(g), n))
+
+
+def test_wrong_hints_change_nothing(monkeypatch):
+    graphs = [build_graph(edges) for edges in HINTED.values()]
+    graphs += [build_graph(complete_edges(4)), build_graph(path_edges(5))]
+    for g in graphs:
+        want, plain = _certificates(g)
+        bound = mt_bound(g)
+        # all -1 gives the complex {emptyset} or the void one, index r or
+        # none; the others lie outside every box or have the wrong length
+        wrong = [(-1,) * g.r, (bound + 9,) * g.r, (-2,) + (0,) * (g.r - 1), (0,) * (g.r + 1)]
+        monkeypatch.setattr(
+            stability, "_witness_hints", lambda g: {n: wrong for n in range(1, bound + 1)}
+        )
+        got, hinted = _certificates(g)
+        assert got == want
+        assert [(n, c) for n, _, c in hinted] == [(n, c) for n, _, c in plain]
+        # hints are built at the first power a witness can have
+        assert hinted[-1][1] == wrong
+        assert all(hints in ((), wrong) and not c.hint_hit for _, hints, c in hinted)
+
+
+def test_oracle_reaches_p8():
+    # the last box, 7^8 cells, is over the scan cap; the witness cell is not
+    assert dstab_oracle(build_graph(path_edges(8))) == 6
