@@ -11,6 +11,7 @@ state and each minimal completion V to a vertex cover.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    build_graph,
     cycle_profile,
     decompose,
     induced_subgraph,
@@ -191,33 +193,29 @@ def witness_monomial(g: Graph) -> tuple[int, Monomial]:
     return n, f
 
 
-def _spanning_unicyclic_keeping(g: Graph, cycle: tuple[int, ...]) -> Graph:
-    """Delete edges off the given cycle until the graph is unicyclic,
-    preferring deletions whose endpoints both keep degree >= 3."""
-    from .graphs import build_graph
+def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The edges of a cycle given by its vertex sequence, each as (min, max)."""
+    pairs = zip(cycle, cycle[1:] + cycle[:1])
+    return {(min(a, b), max(a, b)) for a, b in pairs}
 
+
+def _spanning_unicyclic_keeping(
+    g: Graph, cycle: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]
+) -> Graph:
+    """Delete edges off the given cycle until the graph is unicyclic,
+    preferring deletions whose endpoints both keep degree >= 3.
+
+    cycles are g's simple cycles in simple_cycles order.  Those whose edges
+    all survive are the cycles of what is left, in the same order, so each
+    round takes the first of them with an edge off the kept cycle."""
     edges = set(g.edges)
-    cyc_edges = set()
-    m = len(cycle)
-    for i in range(m):
-        a, b = cycle[i], cycle[(i + 1) % m]
-        cyc_edges.add((min(a, b), max(a, b)))
+    keep = _cycle_edges(cycle)
+    rings = [_cycle_edges(c) for c in cycles]
     while len(edges) > g.r:
-        h = build_graph(sorted(edges), r=g.r)
-        extra = None
-        for cyc in simple_cycles(h):
-            ce = {
-                (min(cyc[i], cyc[(i + 1) % len(cyc)]), max(cyc[i], cyc[(i + 1) % len(cyc)]))
-                for i in range(len(cyc))
-            }
-            if ce != cyc_edges:
-                off = sorted(ce - cyc_edges)
-                if off:
-                    extra = off
-                    break
+        extra = next((sorted(ce - keep) for ce in rings if ce <= edges and ce - keep), None)
         if extra is None:
             break
-        deg = {v: h.degree(v) for v in h.vertices}
+        deg = Counter(v for e in edges for v in e)
         extra.sort(key=lambda e: (-(min(deg[e[0]], deg[e[1]])), e))
         edges.discard(extra[0])
     return build_graph(sorted(edges), r=g.r)
@@ -236,7 +234,7 @@ def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     odd = [c for c in cycles if len(c) % 2 == 1]
     best_len = max(len(c) for c in odd)
     cycle = min(c for c in odd if len(c) == best_len)
-    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle))
+    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle, cycles))
 
 
 def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:

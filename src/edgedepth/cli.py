@@ -137,7 +137,9 @@ def cmd_depth_seq(args) -> int:
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
     field = _field_from_arg(args.field)
-    seq = depth.depth_sequence(g, args.max_power, field=field, max_r=args.max_r)
+    seq = depth.depth_sequence(
+        g, args.max_power, field=field, max_r=args.max_r, trace=args.trace
+    )
     s = stability.depth_limit(g)
     first = next((i + 1 for i, d in enumerate(seq) if d == s), None)
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="trace to stderr: per power for dstab, per walk level for ass",
+        help="trace to stderr: per power for dstab and depth-seq, per walk level for ass",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -42,18 +42,52 @@ misses or lies outside the box is dropped.  Without a hit the box is
 scanned in order up to the first chunk that reaches the floor, and the
 witness is the cell of least (index, position in the box), as over the
 whole box.  So a witness is the least box cell unless hint_hit is set.
+
+A disconnected g is split over its components (power_certificates).  Let A
+be its first component and B the rest, so that I(g) = I + J with I = I(A)
+and J = I(B) in disjoint variables.  For a cell (a, b) of g, the monomial
+x^a x^b lies in a localization of (I + J)^n exactly when x^a lies in the
+p-th power of I's localization and x^b in the q-th of J's for some
+p + q = n, so
+
+    D_(a,b)((I + J)^n) = union over p + q = n + 1 of D_a(I^p) * D_b(J^q),
+
+the joins of complexes that grow with p and with q.  Adding the joins in
+order of p, each meets the union so far in D_a(I^(p-1)) * D_b(J^q).
+Mayer-Vietoris and the Kuenneth formula for joins, valid over any
+coefficient field, then bound the index of every cell of g at power n
+from below by
+
+    min( depth A/I^p + depth B/J^q      over p + q = n + 1, p, q >= 1,
+         depth A/I^p + depth B/J^q + 1  over p + q = n,     p, q >= 1 ).
+
+This is the lower bound of Ha, Trung and Trung for powers of a sum of
+ideals in disjoint variables (Depth and regularity of powers of sums of
+ideals, Math. Z. 282 (2016)), equal to the depth when char k = 0 or both
+ideals are monomial; Nguyen and Vu (Powers of sums and their homological
+invariants, J. Pure Appl. Algebra 223 (2019)) discuss when equality holds.
+The argument above puts no condition on the field, so the split is used
+over Q and every GF(p).  B may be disconnected itself, and is split in
+turn.  The certificates of A and of B come from lazy per-power streams, so
+each component power is scanned once.  At power n, the bound is the floor
+of g's scan, and each term p + q = n + 1 that attains it gives a hint:
+A's witness at power p next to B's at power q.  A hint at the floor is
+checked like any cell and is the certificate; otherwise g's box is scanned
+down to the floor.  So the split rests on the lower bound alone, never on
+equality.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+import sys
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InternalError, NotBipartiteError, TooLargeError
-from .graphs import Graph, decompose, maximal_independent_sets
+from .graphs import Graph, decompose, induced_subgraph, maximal_independent_sets
 from .monomials import (
     MonomialIdeal,
     contains,
@@ -321,6 +355,17 @@ def depth_bruteforce(
     all vertex sets; a cell chooses the violation sets of the generators,
     and its complex avoids them.  The floor is 0, the least index any cell
     can have; hints are cells to try first (see _scan)."""
+    return _ideal_scan(ideal, field, max_r, hints, floor=0)
+
+
+def _ideal_scan(
+    ideal: MonomialIdeal,
+    field: FieldChoice,
+    max_r: int,
+    hints: Sequence[Sequence[int]],
+    floor: int,
+) -> DepthCertificate:
+    """depth_bruteforce with a floor: a proven lower bound on the depth."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
@@ -340,7 +385,7 @@ def depth_bruteforce(
 
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
     return _scan(
-        sizes, np.arange(1 << r), violations, True, field, len(gens), floor=0, hints=hints
+        sizes, np.arange(1 << r), violations, True, field, len(gens), floor, hints
     )
 
 
@@ -358,14 +403,24 @@ def depth_power(
     n - 1 outside them.  The floor there is 1: I(g)^n equals its symbolic
     power, so the maximal ideal is never associated.  Otherwise the scan
     runs on the generators of the power, with floor 0."""
+    return _power_scan(g, n, field, max_r, hints, floor=0)
+
+
+def _power_scan(
+    g: Graph,
+    n: int,
+    field: FieldChoice,
+    max_r: int,
+    hints: Sequence[Sequence[int]],
+    floor: int,
+) -> DepthCertificate:
+    """depth_power with a floor: a proven lower bound on the depth."""
     if n < 1:
         raise ValueError("power must be >= 1")
     if g.r > max_r:
         raise TooLargeError(f"depth scan capped at r={max_r}, got r={g.r}")
     if decompose(g).t:
-        return depth_bruteforce(
-            power(edge_ideal(g), n), field=field, max_r=max_r, hints=hints
-        )
+        return _ideal_scan(power(edge_ideal(g), n), field, max_r, hints, floor)
     facets = maximal_independent_sets(g)
     atoms = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
     outside = np.array([[v not in f for v in g.vertices] for f in facets], dtype=np.int64)
@@ -375,16 +430,88 @@ def depth_power(
         return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
 
     return _scan(
-        [n + 1] * g.r, atoms, chosen_facets, False, field, len(facets), floor=1, hints=hints
+        [n + 1] * g.r, atoms, chosen_facets, False, field, len(facets), max(floor, 1), hints
     )
 
 
+def power_certificates(
+    g: Graph,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
+    trace: bool = False,
+    connected: Optional[Callable[[Graph], Iterator[DepthCertificate]]] = None,
+) -> Iterator[DepthCertificate]:
+    """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily.
+
+    connected(h) gives the certificate stream of a connected graph h, by
+    default depth_power at each power; h is g itself or one of its
+    components, relabelled as induced_subgraph does.  A disconnected g is
+    split over its
+    components (see the module docstring); a split certificate's
+    cells_scanned also counts the component cells first scanned at its
+    power.  trace prints one line per power to stderr."""
+    if connected is None:
+        def connected(h: Graph) -> Iterator[DepthCertificate]:
+            return (depth_power(h, n, field=field, max_r=max_r) for n in itertools.count(1))
+
+    for n, cert in enumerate(_split_certificates(g, field, max_r, connected), 1):
+        if trace:
+            print(
+                f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
+                f"hint_hit={cert.hint_hit} cells_scanned={cert.cells_scanned}",
+                file=sys.stderr,
+            )
+        yield cert
+
+
+def _split_certificates(
+    g: Graph,
+    field: FieldChoice,
+    max_r: int,
+    connected: Callable[[Graph], Iterator[DepthCertificate]],
+) -> Iterator[DepthCertificate]:
+    """power_certificates without the trace: connected(g) for a connected
+    g, else the split of g into its first component A and the rest B."""
+    comps = decompose(g).components
+    if len(comps) == 1:
+        yield from connected(g)
+        return
+    a, a_labels = induced_subgraph(g, comps[0])
+    b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
+    a_stream, b_stream = connected(a), _split_certificates(b, field, max_r, connected)
+    a_certs: list[DepthCertificate] = []  # power p at index p - 1
+    b_certs: list[DepthCertificate] = []
+    for n in itertools.count(1):
+        a_certs.append(next(a_stream))
+        b_certs.append(next(b_stream))
+        # the terms p + q = n + 1 by p, then the terms p + q = n
+        joined = [a_certs[p - 1].depth + b_certs[n - p].depth for p in range(1, n + 1)]
+        floor = min(
+            joined + [a_certs[p - 1].depth + b_certs[n - p - 1].depth + 1 for p in range(1, n)]
+        )
+        hints = []
+        for p in range(1, n + 1):
+            if joined[p - 1] == floor:
+                cell = [0] * g.r
+                for labels, cert in ((a_labels, a_certs[p - 1]), (b_labels, b_certs[n - p])):
+                    for v, e in zip(labels, cert.witness_alpha):
+                        cell[v - 1] = e
+                hints.append(cell)
+        cert = _power_scan(g, n, field, max_r, hints, floor)
+        first_scans = a_certs[-1].cells_scanned + b_certs[-1].cells_scanned
+        yield replace(cert, cells_scanned=cert.cells_scanned + first_scans)
+
+
 def depth_sequence(
-    g: Graph, n_max: int, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
+    g: Graph,
+    n_max: int,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
+    trace: bool = False,
 ) -> list[int]:
-    return [
-        depth_power(g, n, field=field, max_r=max_r).depth for n in range(1, n_max + 1)
-    ]
+    """depth R/I(g)^n for n = 1 .. n_max, from power_certificates."""
+    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
+    return [cert.depth for cert in itertools.islice(certs, n_max)]
 
 
 def betti_depth_crosscheck(

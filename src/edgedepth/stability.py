@@ -16,11 +16,18 @@ and 2k_i - 1 the largest odd cycle length of a nonbipartite one.
 """
 from __future__ import annotations
 
-import sys
+import itertools
 from dataclasses import dataclass, field as dc_field
+from typing import Iterator
 
 from .assoc import full_cover_monomial, spanning_unicyclic_monomial
-from .depth import MAX_R_DEFAULT, depth_power, takayama_complex
+from .depth import (
+    MAX_R_DEFAULT,
+    DepthCertificate,
+    depth_power,
+    power_certificates,
+    takayama_complex,
+)
 from .errors import (
     InternalError,
     NoFullStateError,
@@ -60,14 +67,19 @@ def _component_k(comp_graph: Graph, bipartite: bool) -> int:
     return (prof.max_odd_len + 1) // 2
 
 
-def mt_bound(g: Graph) -> int:
-    """Global upper bound v - e0 - sum(k_i) + 1 for dstab."""
+def _components_with_k(g: Graph) -> list[tuple[Graph, int]]:
+    """Each component, as induced_subgraph relabels it, with its k_i."""
     dec = decompose(g)
-    k_sum = 0
+    out = []
     for comp, bipart in zip(dec.components, dec.bipartitions):
         sub, _ = induced_subgraph(g, comp)
-        k_sum += _component_k(sub, bipart is not None)
-    return g.r - leaf_edges(g) - k_sum + 1
+        out.append((sub, _component_k(sub, bipart is not None)))
+    return out
+
+
+def mt_bound(g: Graph) -> int:
+    """Global upper bound v - e0 - sum(k_i) + 1 for dstab."""
+    return g.r - leaf_edges(g) - sum(k for _, k in _components_with_k(g)) + 1
 
 
 def dstab_tree(g: Graph) -> int:
@@ -254,30 +266,41 @@ def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     return {n: [tuple(cell)]}
 
 
+def _witness_stream(
+    g: Graph, k: int, field: FieldChoice, max_r: int
+) -> Iterator[DepthCertificate]:
+    """depth_power of a connected g at n = 1, 2, ..., with g's witness
+    cell (_witness_hints) tried first at its power.  No witness power is
+    below g's k, so the cells are built at power k, and a graph whose depth
+    settles earlier (K_r does at n = 2) never pays for the construction."""
+    hints: dict[int, list[tuple[int, ...]]] = {}
+    for n in itertools.count(1):
+        if n == k:
+            hints = _witness_hints(g)
+        yield depth_power(g, n, field=field, max_r=max_r, hints=hints.get(n, ()))
+
+
 def dstab_oracle(
     g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
 ) -> int:
     """First n with depth R/I(g)^n equal to the limit depth, by direct
-    computation.  A connected g's witness cell (_witness_hints) is tried
-    first at its power.  trace prints each power's certificate to stderr.
-    Raises InternalError past the global bound."""
+    computation (depth.power_certificates).  Each component's witness cell
+    is tried first at its power (_witness_stream).  trace prints each
+    power's certificate to stderr.  Raises InternalError past the global
+    bound."""
     s = depth_limit(g)
-    bound = mt_bound(g)
-    # For connected g, bound = v - e0 - k + 1 and no witness power is below
-    # k, so a graph whose depth settles earlier (K_r does at n = 2) never
-    # pays for the witness construction.
-    first_hint = g.r - leaf_edges(g) + 1 - bound
-    hints: dict[int, list[tuple[int, ...]]] = {}
-    for n in range(1, bound + 1):
-        if n == first_hint:
-            hints = _witness_hints(g)
-        cert = depth_power(g, n, field=field, max_r=max_r, hints=hints.get(n, ()))
-        if trace:
-            print(
-                f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
-                f"hint_hit={cert.hint_hit} cells_scanned={cert.cells_scanned}",
-                file=sys.stderr,
-            )
+    # the split hands each component over as induced_subgraph relabels it
+    ks = _components_with_k(g)
+    bound = g.r - leaf_edges(g) - sum(k for _, k in ks) + 1  # mt_bound(g)
+    first_hint = {frozenset(h.edges): k for h, k in ks}
+    certs = power_certificates(
+        g,
+        field=field,
+        max_r=max_r,
+        trace=trace,
+        connected=lambda h: _witness_stream(h, first_hint[frozenset(h.edges)], field, max_r),
+    )
+    for n, cert in zip(range(1, bound + 1), certs):
         if cert.depth == s:
             return n
     raise InternalError(

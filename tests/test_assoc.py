@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from conftest import complete_edges, cycle_edges, path_edges
+from conftest import complete_edges, cycle_edges, path_edges, random_connected_graph
 from edgedepth.assoc import (
     MAX_LEVEL_MARGIN,
     CoverState,
+    _spanning_unicyclic_keeping,
     ass_formula,
     cover_states,
     nonbipartite_depth_zero_bound,
@@ -20,7 +21,15 @@ from edgedepth.errors import (
     NotUnicyclicNonbipartiteError,
     TooLargeError,
 )
-from edgedepth.graphs import build_graph, cycle_profile, leaf_edges, minimal_vertex_covers
+from edgedepth.graphs import (
+    build_graph,
+    cycle_profile,
+    decompose,
+    is_unicyclic,
+    leaf_edges,
+    minimal_vertex_covers,
+    simple_cycles,
+)
 from edgedepth.monomials import (
     associated_primes_bruteforce,
     colon,
@@ -186,6 +195,51 @@ def test_nonbipartite_bound_dense():
     n, f = nonbipartite_depth_zero_bound(g)
     assert colon(power(edge_ideal(g), n), f) == maximal_ideal(5)
     assert n <= 5 - 0 - 3 + 1
+
+
+def _spanning_unicyclic_reference(g, cycle):
+    """The deletion loop that enumerates the cycles of what is left in
+    every round."""
+    edges = set(g.edges)
+    m = len(cycle)
+    cyc_edges = {
+        (min(cycle[i], cycle[(i + 1) % m]), max(cycle[i], cycle[(i + 1) % m]))
+        for i in range(m)
+    }
+    while len(edges) > g.r:
+        h = build_graph(sorted(edges), r=g.r)
+        extra = None
+        for cyc in simple_cycles(h):
+            k = len(cyc)
+            ce = {(min(cyc[i], cyc[(i + 1) % k]), max(cyc[i], cyc[(i + 1) % k])) for i in range(k)}
+            off = sorted(ce - cyc_edges)
+            if ce != cyc_edges and off:
+                extra = off
+                break
+        if extra is None:
+            break
+        extra.sort(key=lambda e: (-min(h.degree(e[0]), h.degree(e[1])), e))
+        edges.discard(extra[0])
+    return build_graph(sorted(edges), r=g.r)
+
+
+def test_spanning_unicyclic_takes_the_cycles_once():
+    # one enumeration of g's cycles, filtered to those that survive each
+    # deletion, gives the subgraph that re-enumerating every round gives
+    rng = random.Random(97)
+    graphs = [build_graph(complete_edges(v)) for v in range(4, 9)]
+    while len(graphs) < 35:
+        g = random_connected_graph(rng, rng.randint(5, 9), max_extra=rng.randint(3, 9))
+        if decompose(g).t and g.num_edges >= g.r + 2:  # two deletions at least
+            graphs.append(g)
+    for g in graphs:
+        cycles = simple_cycles(g)
+        odd = [c for c in cycles if len(c) % 2]
+        longest = max(len(c) for c in odd)
+        cycle = min(c for c in odd if len(c) == longest)
+        h = _spanning_unicyclic_keeping(g, cycle, cycles)
+        assert h == _spanning_unicyclic_reference(g, cycle)
+        assert is_unicyclic(h) and cycle_profile(h).unique_cycle == cycle
 
 
 def test_nonbipartite_bound_rejects_bipartite():

@@ -29,6 +29,8 @@ C4LEAF_TEXT = "1 2\n2 3\n3 4\n1 4\n1 5\n"
 C7_TEXT = "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
 P8_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 8))
 P11_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 11))
+P5P5_TEXT = "".join(f"{i} {i + 1}\n" for i in (1, 2, 3, 4, 6, 7, 8, 9))
+C3P7_TEXT = C3_TEXT + "".join(f"{i} {i + 1}\n" for i in range(4, 10))
 
 
 def run(capsys, argv):
@@ -206,6 +208,35 @@ def test_dstab_trace_prints_each_power(graph_file, capsys):
     assert lines[3] == (
         "power 4: depth=0 witness=(1, 1, 1, 1, 1, 1, 1) hint_hit=True cells_scanned=1"
     )
+
+
+def test_depth_seq_trace_prints_the_dstab_line(graph_file, capsys, monkeypatch):
+    path = graph_file("mix.txt", C3C4_TEXT)
+    code, out, seq_err = run(
+        capsys, ["--trace", "--format", "json", "depth-seq", path, "--max-power", "2"]
+    )
+    assert code == 0 and json.loads(out)["depths"] == [2, 1]
+    assert [line.split(":")[0] for line in seq_err.splitlines()] == ["power 1", "power 2"]
+    # without the witness cells, dstab scans the same way
+    monkeypatch.setattr(stability, "_witness_hints", lambda g: {})
+    code, out, dstab_err = run(capsys, ["--trace", "--format", "json", "dstab", path])
+    assert code == 0 and json.loads(out)["oracle"] == 2
+    assert dstab_err == seq_err
+    assert "dstab and depth-seq" in build_parser().format_help()
+
+
+@pytest.mark.parametrize(
+    "text, want", [(P5P5_TEXT, 5), (C3P7_TEXT, 6)], ids=["P5+P5", "C3+P7"]
+)
+def test_split_reaches_boxes_over_the_cap(graph_file, capsys, text, want):
+    # from n = 4 on, each box has at least 5^10 = 9,765,625 cells, over the
+    # 5,000,000 cap; the components' witnesses spare every one of them
+    path = graph_file("g.txt", text)
+    code, out, err = run(capsys, ["--format", "json", "--max-r", "10", "dstab", path])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["oracle"] == payload["formula"]["value"] == want
+    assert payload["match"] is True
 
 
 def test_parser_is_built_once():

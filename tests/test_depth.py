@@ -24,10 +24,11 @@ from edgedepth.depth import (
     depth_bruteforce,
     depth_power,
     depth_sequence,
+    power_certificates,
     takayama_complex,
 )
 from edgedepth.errors import NotBipartiteError, TooLargeError
-from edgedepth.graphs import build_graph, decompose, maximal_independent_sets
+from edgedepth.graphs import build_graph, decompose, induced_subgraph, maximal_independent_sets
 from edgedepth.monomials import (
     associated_primes_bruteforce,
     contains,
@@ -44,6 +45,7 @@ from edgedepth.simplicial import (
     reduced_homology_dims,
     void_complex,
 )
+from edgedepth.stability import depth_limit, dstab_oracle
 from test_monomials import random_ideal
 
 
@@ -171,10 +173,10 @@ def test_depth_principal_and_small():
     assert depth_bruteforce(minimalize(2, [(1, 0), (0, 1)])).depth == 0
 
 
-def _assert_witness(cert, ideal):
+def _assert_witness(cert, ideal, field=QQ):
     # the witness alpha really exhibits homology at index depth - |G_a| - 1
     neg = sum(1 for a in cert.witness_alpha if a < 0)
-    dims = reduced_homology_dims(takayama_complex(ideal, cert.witness_alpha))
+    dims = reduced_homology_dims(takayama_complex(ideal, cert.witness_alpha), field=field)
     assert dims[cert.depth - neg - 1] == cert.homology_dim > 0
 
 
@@ -331,6 +333,74 @@ def test_missed_hint_on_an_over_cap_box_names_the_cap():
     for miss in ((0,) * 8, (7, 1, 2, 2, 2, 2, 1, 0)):
         with pytest.raises(TooLargeError, match="cap is 5000000"):
             depth_power(p8, 6, hints=[miss])
+
+
+def _disjoint_union(pieces):
+    edges, off = [], 0
+    for piece in pieces:
+        edges += [(u + off, v + off) for u, v in piece.edges]
+        off += piece.r
+    return build_graph(edges, r=off)
+
+
+def _split_corpus(rng, per_kind):
+    """Seeded disjoint unions of connected pieces on at most 7 vertices:
+    per_kind each with all pieces bipartite, all nonbipartite, and mixed.
+    Half of the bipartite and mixed ones have 3 pieces, the rest 2; three
+    nonbipartite pieces need 9 vertices."""
+    want = {("bipartite", 2): per_kind // 2, ("bipartite", 3): per_kind - per_kind // 2,
+            ("mixed", 2): per_kind // 2, ("mixed", 3): per_kind - per_kind // 2,
+            ("nonbipartite", 2): per_kind}
+    graphs = []
+    while any(want.values()):
+        count = rng.choice((2, 3))
+        sizes = [rng.randint(2, 4 if count == 2 else 3) for _ in range(count)]
+        if sum(sizes) > 7:
+            continue
+        pieces = [random_connected_graph(rng, v, max_extra=2) for v in sizes]
+        odd = sum(1 for p in pieces if decompose(p).t)
+        kind = "bipartite" if not odd else "nonbipartite" if odd == count else "mixed"
+        if want.get((kind, count)):
+            want[kind, count] -= 1
+            graphs.append(_disjoint_union(pieces))
+    return graphs
+
+
+def test_split_route_matches_full_box():
+    # the split (component floor, concatenated hints) against the full-box
+    # generator scan of each power, over three fields
+    graphs = _split_corpus(random.Random(107), 14)
+    hits = 0
+    for g in graphs:
+        assert decompose(g).p > 1
+        for field in (QQ, FieldChoice.gf(2), FieldChoice.gf(3)):
+            ideals = [power(edge_ideal(g), n) for n in (1, 2, 3)]
+            want = [depth_bruteforce(ideal, field=field).depth for ideal in ideals]
+            certs = list(itertools.islice(power_certificates(g, field=field), 3))
+            assert [c.depth for c in certs] == want
+            assert depth_sequence(g, 3, field=field) == want
+            for cert, ideal in zip(certs, ideals):
+                if cert.hint_hit:
+                    hits += 1
+                    _assert_witness(cert, ideal, field)
+            first = next((n for n, d in enumerate(want, 1) if d == depth_limit(g)), None)
+            oracle = dstab_oracle(g, field=field)
+            assert oracle == first if first else oracle > 3
+    # on this corpus every split certificate is a hint hit
+    assert hits == len(graphs) * 3 * 3
+
+
+def test_split_cells_count_the_component_scans():
+    for edges in (
+        path_edges(4) + path_edges(5, offset=4),
+        cycle_edges(3) + path_edges(4, offset=3),
+        path_edges(2) + cycle_edges(3, offset=2) + path_edges(3, offset=5),
+    ):
+        g = build_graph(edges)
+        parts = [induced_subgraph(g, c)[0] for c in decompose(g).components]
+        for n, cert in enumerate(itertools.islice(power_certificates(g), 3), 1):
+            # g's own scan looks at one cell at least
+            assert cert.cells_scanned >= 1 + sum(depth_power(h, n).cells_scanned for h in parts)
 
 
 def test_depth_of_disjoint_blocks():
