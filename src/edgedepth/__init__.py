@@ -9,12 +9,12 @@ from .depth import (
     bipartite_power_complex,
     depth_bruteforce,
     depth_power,
-    depth_sequence,
     takayama_complex,
 )
 from .stability import (
     DstabReport,
     depth_limit,
+    depth_sequence,
     dstab_formula,
     dstab_oracle,
     dstab_tree,

@@ -77,7 +77,7 @@ def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...
     if n < k:
         raise LevelBelowStartError(f"level {n} is below the start level k={k}")
     if n > g.r + MAX_LEVEL_MARGIN:
-        raise TooLargeError(f"cover walk capped at level r + {MAX_LEVEL_MARGIN}")
+        raise TooLargeError(f"cover walk level {n}, cap is r + {MAX_LEVEL_MARGIN} (the level cap)")
     width = (2 * n - 1).bit_length()
     unit = {v: 1 << width * (v - 1) for v in g.vertices}
     nbrs = {v: sum(1 << w - 1 for w in g.neighbors(v)) for v in g.vertices}

@@ -67,7 +67,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def _load_graph(path: str, max_r: int) -> graphs.Graph:
     g = graphs.read_graph_file(path)
     if g.r > max_r:
-        raise TooLargeError(f"graph has {g.r} vertices, cap is {max_r}")
+        raise TooLargeError(f"graph has {g.r} vertices, cap is {max_r} (--max-r)")
     return g
 
 
@@ -137,7 +137,7 @@ def cmd_depth_seq(args) -> int:
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
     field = _field_from_arg(args.field)
-    seq = depth.depth_sequence(
+    seq = stability.depth_sequence(
         g, args.max_power, field=field, max_r=args.max_r, trace=args.trace
     )
     s = stability.depth_limit(g)

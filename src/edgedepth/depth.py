@@ -43,10 +43,11 @@ scanned in order up to the first chunk that reaches the floor, and the
 witness is the cell of least (index, position in the box), as over the
 whole box.  So a witness is the least box cell unless hint_hit is set.
 
-A disconnected g is split over its components (power_certificates).  Let A
-be its first component and B the rest, so that I(g) = I + J with I = I(A)
-and J = I(B) in disjoint variables.  For a cell (a, b) of g, the monomial
-x^a x^b lies in a localization of (I + J)^n exactly when x^a lies in the
+A disconnected g is split over its components (split_certificates, which
+stability.power_certificates feeds).  Let A be its first component and B
+the rest, so that I(g) = I + J with I = I(A) and J = I(B) in disjoint
+variables.  For a cell (a, b) of g, the monomial x^a x^b lies in a
+localization of (I + J)^n exactly when x^a lies in the
 p-th power of I's localization and x^b in the q-th of J's for some
 p + q = n, so
 
@@ -80,14 +81,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InternalError, NotBipartiteError, TooLargeError
-from .graphs import Graph, decompose, induced_subgraph, maximal_independent_sets
+from .graphs import Graph, decompose, maximal_independent_sets
 from .monomials import (
     MonomialIdeal,
     contains,
@@ -142,7 +142,7 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int], max_r: int = MA
     if len(a) != ideal.r:
         raise ValueError("alpha length must equal the ambient variable count")
     if ideal.r > max_r:
-        raise TooLargeError(f"takayama_complex capped at r={max_r}")
+        raise TooLargeError(f"takayama_complex of r={ideal.r}, cap is {max_r} (--max-r)")
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     universe0 = [i for i in range(ideal.r) if a[i] >= 0]
@@ -333,7 +333,7 @@ def _scan(
             return certificate(best, scanned, True)
     n_cells = math.prod(sizes)
     if n_cells > MAX_BOX_DEFAULT:
-        raise TooLargeError(f"scan box has {n_cells} cells, cap is {MAX_BOX_DEFAULT}")
+        raise TooLargeError(f"depth box has {n_cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
     chunk = max(1, _CHUNK_BUDGET // (width + len(atoms) + (1 << r)))
     best = (_NO_VALUE, 0, 0)
     for off in range(0, n_cells, chunk):
@@ -346,16 +346,13 @@ def _scan(
 
 
 def depth_bruteforce(
-    ideal: MonomialIdeal,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    hints: Sequence[Sequence[int]] = (),
+    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> DepthCertificate:
     """Exact depth of R/I by scanning the multidegree box.  The atoms are
     all vertex sets; a cell chooses the violation sets of the generators,
     and its complex avoids them.  The floor is 0, the least index any cell
-    can have; hints are cells to try first (see _scan)."""
-    return _ideal_scan(ideal, field, max_r, hints, floor=0)
+    can have, so the witness is the least cell of the whole box."""
+    return _ideal_scan(ideal, field, max_r, (), floor=0)
 
 
 def _ideal_scan(
@@ -370,7 +367,7 @@ def _ideal_scan(
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
     if r > max_r:
-        raise TooLargeError(f"depth scan capped at r={max_r}, got {r}")
+        raise TooLargeError(f"depth scan of r={r}, cap is {max_r} (--max-r)")
     gens = gens_array(ideal)
 
     def violations(alpha: np.ndarray) -> np.ndarray:
@@ -418,7 +415,7 @@ def _power_scan(
     if n < 1:
         raise ValueError("power must be >= 1")
     if g.r > max_r:
-        raise TooLargeError(f"depth scan capped at r={max_r}, got r={g.r}")
+        raise TooLargeError(f"depth scan of r={g.r}, cap is {max_r} (--max-r)")
     if decompose(g).t:
         return _ideal_scan(power(edge_ideal(g), n), field, max_r, hints, floor)
     facets = maximal_independent_sets(g)
@@ -434,56 +431,26 @@ def _power_scan(
     )
 
 
-def power_certificates(
+def split_certificates(
     g: Graph,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    trace: bool = False,
-    connected: Optional[Callable[[Graph], Iterator[DepthCertificate]]] = None,
-) -> Iterator[DepthCertificate]:
-    """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily.
-
-    connected(h) gives the certificate stream of a connected graph h, by
-    default depth_power at each power; h is g itself or one of its
-    components, relabelled as induced_subgraph does.  A disconnected g is
-    split over its
-    components (see the module docstring); a split certificate's
-    cells_scanned also counts the component cells first scanned at its
-    power.  trace prints one line per power to stderr."""
-    if connected is None:
-        def connected(h: Graph) -> Iterator[DepthCertificate]:
-            return (depth_power(h, n, field=field, max_r=max_r) for n in itertools.count(1))
-
-    for n, cert in enumerate(_split_certificates(g, field, max_r, connected), 1):
-        if trace:
-            print(
-                f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
-                f"hint_hit={cert.hint_hit} cells_scanned={cert.cells_scanned}",
-                file=sys.stderr,
-            )
-        yield cert
-
-
-def _split_certificates(
-    g: Graph,
+    a: Iterator[DepthCertificate],
+    a_labels: Sequence[int],
+    b: Iterator[DepthCertificate],
+    b_labels: Sequence[int],
     field: FieldChoice,
     max_r: int,
-    connected: Callable[[Graph], Iterator[DepthCertificate]],
 ) -> Iterator[DepthCertificate]:
-    """power_certificates without the trace: connected(g) for a connected
-    g, else the split of g into its first component A and the rest B."""
-    comps = decompose(g).components
-    if len(comps) == 1:
-        yield from connected(g)
-        return
-    a, a_labels = induced_subgraph(g, comps[0])
-    b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
-    a_stream, b_stream = connected(a), _split_certificates(b, field, max_r, connected)
+    """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily, for g
+    the disjoint union of A and B (see the module docstring).  a and b are
+    the certificate streams of A and B, and a_labels and b_labels their
+    vertices in g, as induced_subgraph gives them.  Both streams are read
+    one power per power of g.  A certificate's cells_scanned also counts
+    the component cells first scanned at its power."""
     a_certs: list[DepthCertificate] = []  # power p at index p - 1
     b_certs: list[DepthCertificate] = []
     for n in itertools.count(1):
-        a_certs.append(next(a_stream))
-        b_certs.append(next(b_stream))
+        a_certs.append(next(a))
+        b_certs.append(next(b))
         # the terms p + q = n + 1 by p, then the terms p + q = n
         joined = [a_certs[p - 1].depth + b_certs[n - p].depth for p in range(1, n + 1)]
         floor = min(
@@ -502,18 +469,6 @@ def _split_certificates(
         yield replace(cert, cells_scanned=cert.cells_scanned + first_scans)
 
 
-def depth_sequence(
-    g: Graph,
-    n_max: int,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    trace: bool = False,
-) -> list[int]:
-    """depth R/I(g)^n for n = 1 .. n_max, from power_certificates."""
-    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
-    return [cert.depth for cert in itertools.islice(certs, n_max)]
-
-
 def betti_depth_crosscheck(
     ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
 ) -> int:
@@ -528,13 +483,13 @@ def betti_depth_crosscheck(
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
     if r > max_r:
-        raise TooLargeError(f"betti crosscheck capped at r={max_r}")
+        raise TooLargeError(f"betti crosscheck of r={r}, cap is {max_r} (--max-r)")
     lcm = [max(g[i] for g in ideal.gens) for i in range(r)]
     cells = 1
     for e in lcm:
         cells *= e + 1
     if cells > MAX_BOX_DEFAULT:
-        raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT}")
+        raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
     max_i = -1
     universe = tuple(range(1, r + 1))
     memo: dict[SimplicialComplex, int] = {}

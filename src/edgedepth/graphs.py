@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 )
 
 MAX_VERTICES_DEFAULT = 16
+CYCLE_CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -214,9 +216,7 @@ def simple_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All simple cycles, each listed once as a vertex tuple starting at its
     smallest vertex with the lexicographically smaller direction."""
     if g.r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(
-            f"cycle enumeration capped at {MAX_VERTICES_DEFAULT} vertices, got r={g.r}"
-        )
+        raise TooLargeError(f"cycles of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     cycles: list[tuple[int, ...]] = []
 
     def dfs(start: int, path: list[int], on_path: set[int]) -> None:
@@ -246,7 +246,10 @@ class CycleProfile:
     max_odd_len: Optional[int]
 
 
+@lru_cache(maxsize=CYCLE_CACHE_ENTRIES)
 def cycle_profile(g: Graph) -> CycleProfile:
+    """What the formulas read off g's simple cycles.  Cached, so that the
+    formula, the bound and the oracle enumerate a graph's cycles once."""
     cycles = simple_cycles(g)
     evens = [len(c) for c in cycles if len(c) % 2 == 0]
     odds = [len(c) for c in cycles if len(c) % 2 == 1]
@@ -276,9 +279,7 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal independent sets, sorted.  Bron-Kerbosch with pivoting on
     the complement graph."""
     if g.r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(
-            f"independent-set enumeration capped at {MAX_VERTICES_DEFAULT} vertices"
-        )
+        raise TooLargeError(f"independent sets of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     r = g.r
     full = (1 << r) - 1
     nonadj = [0] * r  # bit i set in nonadj[v] when v+1 and i+1 are non-adjacent, v != i

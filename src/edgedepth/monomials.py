@@ -252,7 +252,7 @@ def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...],
     for e in lcm:
         cells *= e + 1
     if cells > MAX_COLON_CELLS:
-        raise TooLargeError(f"scan box has {cells} cells, cap is {MAX_COLON_CELLS}")
+        raise TooLargeError(f"colon box has {cells} cells, cap is {MAX_COLON_CELLS} (the colon cap)")
     words = (len(arr) + 63) // 64
     le = [
         _pack_rows(arr[None, :, i] <= np.arange(e + 2)[:, None], words)

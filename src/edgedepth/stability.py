@@ -17,6 +17,7 @@ and 2k_i - 1 the largest odd cycle length of a nonbipartite one.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
@@ -25,7 +26,7 @@ from .depth import (
     MAX_R_DEFAULT,
     DepthCertificate,
     depth_power,
-    power_certificates,
+    split_certificates,
     takayama_complex,
 )
 from .errors import (
@@ -58,28 +59,21 @@ def depth_limit(g: Graph) -> int:
     return decompose(g).s
 
 
-def _component_k(comp_graph: Graph, bipartite: bool) -> int:
+def _component_k(comp_graph: Graph) -> int:
+    """k of a connected graph: half its longest odd cycle rounded up, or,
+    when it has none (it is bipartite), half its longest even cycle."""
     prof = cycle_profile(comp_graph)
-    if bipartite:
-        if prof.max_even_len is None:
-            return 1  # tree
-        return prof.max_even_len // 2
-    return (prof.max_odd_len + 1) // 2
-
-
-def _components_with_k(g: Graph) -> list[tuple[Graph, int]]:
-    """Each component, as induced_subgraph relabels it, with its k_i."""
-    dec = decompose(g)
-    out = []
-    for comp, bipart in zip(dec.components, dec.bipartitions):
-        sub, _ = induced_subgraph(g, comp)
-        out.append((sub, _component_k(sub, bipart is not None)))
-    return out
+    if prof.max_odd_len is not None:
+        return (prof.max_odd_len + 1) // 2
+    if prof.max_even_len is None:
+        return 1  # tree
+    return prof.max_even_len // 2
 
 
 def mt_bound(g: Graph) -> int:
     """Global upper bound v - e0 - sum(k_i) + 1 for dstab."""
-    return g.r - leaf_edges(g) - sum(k for _, k in _components_with_k(g)) + 1
+    ks = sum(_component_k(induced_subgraph(g, comp)[0]) for comp in decompose(g).components)
+    return g.r - leaf_edges(g) - ks + 1
 
 
 def dstab_tree(g: Graph) -> int:
@@ -189,7 +183,7 @@ def dstab_formula(
     for comp, bipart in zip(dec.components, dec.bipartitions):
         sub, labels = induced_subgraph(g, comp)
         prof = cycle_profile(sub)
-        k = _component_k(sub, bipart is not None)
+        k = _component_k(sub)
         if prof.kind == "tree":
             reports.append(
                 ComponentReport(comp, "tree", True, 1, dstab_tree(sub), True, "tree")
@@ -266,13 +260,12 @@ def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     return {n: [tuple(cell)]}
 
 
-def _witness_stream(
-    g: Graph, k: int, field: FieldChoice, max_r: int
-) -> Iterator[DepthCertificate]:
+def _witness_stream(g: Graph, field: FieldChoice, max_r: int) -> Iterator[DepthCertificate]:
     """depth_power of a connected g at n = 1, 2, ..., with g's witness
     cell (_witness_hints) tried first at its power.  No witness power is
     below g's k, so the cells are built at power k, and a graph whose depth
     settles earlier (K_r does at n = 2) never pays for the construction."""
+    k = _component_k(g)
     hints: dict[int, list[tuple[int, ...]]] = {}
     for n in itertools.count(1):
         if n == k:
@@ -280,26 +273,65 @@ def _witness_stream(
         yield depth_power(g, n, field=field, max_r=max_r, hints=hints.get(n, ()))
 
 
+def _certificates(g: Graph, field: FieldChoice, max_r: int) -> Iterator[DepthCertificate]:
+    """power_certificates without the trace."""
+    comps = decompose(g).components
+    if len(comps) == 1:
+        return _witness_stream(g, field, max_r)
+    a, a_labels = induced_subgraph(g, comps[0])
+    b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
+    return split_certificates(
+        g,
+        _certificates(a, field, max_r),
+        a_labels,
+        _certificates(b, field, max_r),
+        b_labels,
+        field,
+        max_r,
+    )
+
+
+def power_certificates(
+    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
+) -> Iterator[DepthCertificate]:
+    """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily.
+
+    A connected g tries its witness cell first at its power
+    (_witness_stream).  A disconnected g is split into its first component
+    and the rest, as induced_subgraph relabels them, each with a stream of
+    its own (depth.split_certificates; the rest is split in turn).  trace
+    prints one line per power to stderr."""
+    for n, cert in enumerate(_certificates(g, field, max_r), 1):
+        if trace:
+            print(
+                f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
+                f"hint_hit={cert.hint_hit} cells_scanned={cert.cells_scanned}",
+                file=sys.stderr,
+            )
+        yield cert
+
+
+def depth_sequence(
+    g: Graph,
+    n_max: int,
+    field: FieldChoice = QQ,
+    max_r: int = MAX_R_DEFAULT,
+    trace: bool = False,
+) -> list[int]:
+    """depth R/I(g)^n for n = 1 .. n_max, from power_certificates."""
+    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
+    return [cert.depth for cert in itertools.islice(certs, n_max)]
+
+
 def dstab_oracle(
     g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
 ) -> int:
-    """First n with depth R/I(g)^n equal to the limit depth, by direct
-    computation (depth.power_certificates).  Each component's witness cell
-    is tried first at its power (_witness_stream).  trace prints each
-    power's certificate to stderr.  Raises InternalError past the global
-    bound."""
+    """The first n <= mt_bound(g) with depth R/I(g)^n at the limit depth,
+    by direct computation (power_certificates).  trace prints each power's
+    certificate to stderr.  Raises InternalError past the bound."""
     s = depth_limit(g)
-    # the split hands each component over as induced_subgraph relabels it
-    ks = _components_with_k(g)
-    bound = g.r - leaf_edges(g) - sum(k for _, k in ks) + 1  # mt_bound(g)
-    first_hint = {frozenset(h.edges): k for h, k in ks}
-    certs = power_certificates(
-        g,
-        field=field,
-        max_r=max_r,
-        trace=trace,
-        connected=lambda h: _witness_stream(h, first_hint[frozenset(h.edges)], field, max_r),
-    )
+    bound = mt_bound(g)
+    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
     for n, cert in zip(range(1, bound + 1), certs):
         if cert.depth == s:
             return n

@@ -7,9 +7,13 @@ import sys
 
 import pytest
 
-from edgedepth import assoc, stability
-from edgedepth.cli import build_parser, main
-from edgedepth.simplicial import FieldChoice
+from conftest import cycle_edges, path_edges
+from edgedepth import assoc, graphs, stability
+from edgedepth.cli import _load_graph, build_parser, main
+from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
+from edgedepth.errors import TooLargeError
+from edgedepth.monomials import associated_primes_bruteforce, minimalize
+from edgedepth.simplicial import FieldChoice, from_facets
 
 
 @pytest.fixture
@@ -29,6 +33,7 @@ C4LEAF_TEXT = "1 2\n2 3\n3 4\n1 4\n1 5\n"
 C7_TEXT = "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
 P8_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 8))
 P11_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 11))
+K6_TEXT = "".join(f"{i} {j}\n" for i in range(1, 7) for j in range(i + 1, 7))
 P5P5_TEXT = "".join(f"{i} {i + 1}\n" for i in (1, 2, 3, 4, 6, 7, 8, 9))
 C3P7_TEXT = C3_TEXT + "".join(f"{i} {i + 1}\n" for i in range(4, 10))
 
@@ -187,6 +192,40 @@ def test_exit_code_caps(graph_file, capsys):
     assert code == 3 and "face cap" in err
 
 
+_BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over both box caps
+_R11 = minimalize(11, [(1,) * 11])
+_P17 = graphs.build_graph(path_edges(17))
+_C3 = graphs.build_graph(cycle_edges(3))
+
+
+@pytest.mark.parametrize(
+    "trigger, name",
+    [
+        (lambda gf: _load_graph(gf("c6.txt", C6_TEXT), 4), "cap is 4 (--max-r)"),
+        (lambda gf: depth_power(_P17, 1), "cap is 10 (--max-r)"),
+        (lambda gf: depth_bruteforce(_R11), "cap is 10 (--max-r)"),
+        (lambda gf: takayama_complex(_R11, (0,) * 11), "cap is 10 (--max-r)"),
+        (lambda gf: betti_depth_crosscheck(_R11), "cap is 10 (--max-r)"),
+        (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
+        (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
+        (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
+        (lambda gf: graphs.simple_cycles(_P17), "cap is 16 (the vertex cap)"),
+        (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
+        (lambda gf: assoc.cover_states(_C3, 8), "cap is r + 4 (the level cap)"),
+        (lambda gf: from_facets(range(1, 22), [range(1, 22)]), "(the face cap)"),
+    ],
+    ids=[
+        "load-graph", "depth-power-r", "depth-bruteforce-r", "takayama-r", "betti-r",
+        "depth-box", "betti-box", "colon-box", "cycles", "independent-sets", "walk-level",
+        "faces",
+    ],
+)
+def test_each_cap_names_itself(graph_file, trigger, name):
+    with pytest.raises(TooLargeError) as info:
+        trigger(graph_file)
+    assert name in str(info.value)
+
+
 def test_missed_hint_over_box_cap_exits_3(graph_file, capsys, monkeypatch):
     # P8's last power has 7^8 cells, over the box cap: only its witness
     # cell spares the scan, so a hint that misses must end in the cap
@@ -210,19 +249,48 @@ def test_dstab_trace_prints_each_power(graph_file, capsys):
     )
 
 
-def test_depth_seq_trace_prints_the_dstab_line(graph_file, capsys, monkeypatch):
-    path = graph_file("mix.txt", C3C4_TEXT)
-    code, out, seq_err = run(
-        capsys, ["--trace", "--format", "json", "depth-seq", path, "--max-power", "2"]
-    )
-    assert code == 0 and json.loads(out)["depths"] == [2, 1]
-    assert [line.split(":")[0] for line in seq_err.splitlines()] == ["power 1", "power 2"]
-    # without the witness cells, dstab scans the same way
-    monkeypatch.setattr(stability, "_witness_hints", lambda g: {})
-    code, out, dstab_err = run(capsys, ["--trace", "--format", "json", "dstab", path])
-    assert code == 0 and json.loads(out)["oracle"] == 2
-    assert dstab_err == seq_err
+def test_depth_seq_trace_prints_the_dstab_line(graph_file, capsys):
+    # both commands read one certificate stream, witness cells included
+    for text, depths in ((C3C4_TEXT, [2, 1]), (C7_TEXT, [2, 2, 2, 0])):
+        path = graph_file("g.txt", text)
+        argv = ["--trace", "--format", "json", "depth-seq", path, "--max-power", str(len(depths))]
+        code, out, seq_err = run(capsys, argv)
+        assert code == 0 and json.loads(out)["depths"] == depths
+        lines = seq_err.splitlines()
+        powers = [f"power {n}" for n in range(1, len(depths) + 1)]
+        assert [line.split(":")[0] for line in lines] == powers
+        assert "hint_hit=True" in lines[-1]
+        code, out, dstab_err = run(capsys, ["--trace", "--format", "json", "dstab", path])
+        assert code == 0 and json.loads(out)["oracle"] == len(depths)
+        assert dstab_err == seq_err
     assert "dstab and depth-seq" in build_parser().format_help()
+
+
+def test_depth_seq_reaches_p8(graph_file, capsys):
+    # the 7^8-cell box of n = 6 is over the cap; the witness cell is not
+    path = graph_file("p8.txt", P8_TEXT)
+    code, out, err = run(capsys, ["--format", "json", "depth-seq", path, "--max-power", "6"])
+    assert code == 0, err
+    assert json.loads(out)["depths"] == [3, 3, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "text, calls", [(K6_TEXT, 1), (C7_TEXT, 1), (C3C4_TEXT, 2)], ids=["K6", "C7", "C3+C4"]
+)
+def test_dstab_enumerates_cycles_once_per_graph(graph_file, capsys, monkeypatch, text, calls):
+    seen = []
+    real = graphs.simple_cycles
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    for module in (graphs, assoc):
+        monkeypatch.setattr(module, "simple_cycles", spy)
+    graphs.cycle_profile.cache_clear()
+    code, out, err = run(capsys, ["--format", "json", "dstab", graph_file("g.txt", text)])
+    assert code == 0 and json.loads(out)["match"] is True, err
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize(

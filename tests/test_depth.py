@@ -23,8 +23,6 @@ from edgedepth.depth import (
     bipartite_power_complex,
     depth_bruteforce,
     depth_power,
-    depth_sequence,
-    power_certificates,
     takayama_complex,
 )
 from edgedepth.errors import NotBipartiteError, TooLargeError
@@ -45,7 +43,7 @@ from edgedepth.simplicial import (
     reduced_homology_dims,
     void_complex,
 )
-from edgedepth.stability import depth_limit, dstab_oracle
+from edgedepth.stability import depth_limit, depth_sequence, dstab_oracle, power_certificates
 from test_monomials import random_ideal
 
 
@@ -397,10 +395,10 @@ def test_split_cells_count_the_component_scans():
         path_edges(2) + cycle_edges(3, offset=2) + path_edges(3, offset=5),
     ):
         g = build_graph(edges)
-        parts = [induced_subgraph(g, c)[0] for c in decompose(g).components]
-        for n, cert in enumerate(itertools.islice(power_certificates(g), 3), 1):
+        parts = [power_certificates(induced_subgraph(g, c)[0]) for c in decompose(g).components]
+        for cert in itertools.islice(power_certificates(g), 3):
             # g's own scan looks at one cell at least
-            assert cert.cells_scanned >= 1 + sum(depth_power(h, n).cells_scanned for h in parts)
+            assert cert.cells_scanned >= 1 + sum(next(part).cells_scanned for part in parts)
 
 
 def test_depth_of_disjoint_blocks():

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in src/ and tests/ is used."""
+"""Source hygiene: every imported name in src/ and tests/ is used, and no
+module in src/ takes an underscore name from another."""
 from __future__ import annotations
 
 import ast
@@ -58,5 +59,50 @@ def test_no_unused_imports():
     bad = []
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
         for problem in unused_imports(path.read_text(encoding="utf-8"), path.name == "__init__.py"):
+            bad.append(f"{path.relative_to(ROOT)} {problem}")
+    assert bad == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names a module takes from another: imported by name,
+    or read as an attribute of an imported module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module is None:  # from . import depth
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_private_imports_detected():
+    src = (
+        "from .depth import _scan, scan\nfrom . import depth\nimport numpy as np\n"
+        "a = depth._power_scan\nb = np.__version__\nc = depth.scan\nd = scan._x\n"
+    )
+    assert private_imports(src) == ["line 1: _scan", "line 4: depth._power_scan"]
+
+
+def test_no_private_imports_in_src():
+    bad = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for problem in private_imports(path.read_text(encoding="utf-8")):
             bad.append(f"{path.relative_to(ROOT)} {problem}")
     assert bad == []

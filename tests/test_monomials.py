@@ -13,7 +13,7 @@ from conftest import (
     power_membership_exhaustive,
     random_graph,
 )
-from edgedepth.graphs import build_graph
+from edgedepth.graphs import CYCLE_CACHE_ENTRIES, build_graph, cycle_profile
 from edgedepth.monomials import (
     CACHE_ENTRIES,
     COLON_CHUNK_CELLS,
@@ -239,6 +239,11 @@ def test_caches_are_bounded():
         gens_array(ideal)
     assert power.cache_info().currsize <= CACHE_ENTRIES
     assert gens_array.cache_info().currsize <= CACHE_ENTRIES
+    chords = [(u, v) for u in range(1, 7) for v in range(u + 2, 7)]  # off the path P6
+    picks = itertools.product((False, True), repeat=len(chords))
+    for extra in itertools.islice(picks, CYCLE_CACHE_ENTRIES + 10):
+        cycle_profile(build_graph(path_edges(6) + list(itertools.compress(chords, extra))))
+    assert cycle_profile.cache_info().currsize <= CYCLE_CACHE_ENTRIES
 
 
 def test_ass_unit_rejected():
