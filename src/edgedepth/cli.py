@@ -29,6 +29,8 @@ EXIT_CAPS = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
+MAX_R_DEFAULT = 10  # the default of --max-r
+
 
 def _field_from_arg(spec: str) -> simplicial.FieldChoice:
     if spec == "q":
@@ -114,12 +116,10 @@ def cmd_dstab(args) -> int:
     payload: dict = {}
     formula_report = None
     if args.method in ("formula", "both"):
-        formula_report = stability.dstab_formula(g, field=field, max_r=args.max_r)
+        formula_report = stability.dstab_formula(g, field=field)
         payload["formula"] = formula_report.to_json()
     if args.method in ("oracle", "both"):
-        oracle = stability.dstab_oracle(
-            g, field=field, max_r=args.max_r, trace=args.trace
-        )
+        oracle = stability.dstab_oracle(g, field=field, trace=args.trace)
         payload["oracle"] = oracle
         if formula_report is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
@@ -137,18 +137,14 @@ def cmd_depth_seq(args) -> int:
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
     field = _field_from_arg(args.field)
-    seq = stability.depth_sequence(
-        g, args.max_power, field=field, max_r=args.max_r, trace=args.trace
-    )
+    seq = stability.depth_sequence(g, args.max_power, field=field, trace=args.trace)
     s = stability.depth_limit(g)
     first = next((i + 1 for i, d in enumerate(seq) if d == s), None)
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
     if args.verify:
         ideal = monomials.edge_ideal(g)
         for n in range(1, args.max_power + 1):
-            other = depth.betti_depth_crosscheck(
-                monomials.power(ideal, n), field=field, max_r=args.max_r
-            )
+            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=field)
             if other != seq[n - 1]:
                 raise MismatchError(
                     f"power {n}: scan depth {seq[n - 1]} != betti depth {other}"
@@ -189,16 +185,26 @@ def cmd_ass(args) -> int:
     return EXIT_OK
 
 
-def cmd_homology(args) -> int:
+def _facets_from_arg(spec: str) -> list[list[int]]:
+    """A JSON list of facets, each a list of integer labels.  A float, a
+    bool or a string is refused rather than read as the integer it looks
+    like, so distinct labels never collapse into one vertex."""
     try:
-        facets = json.loads(args.facets)
-        if not isinstance(facets, list):
-            raise ValueError("facets must be a JSON list of lists")
-        universe = set()
-        for f in facets:
-            universe.update(int(v) for v in f)
-    except (ValueError, TypeError) as exc:
+        facets = json.loads(spec)
+    except ValueError as exc:
         raise ParseError(f"bad facet list: {exc}") from None
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise ParseError("bad facet list: facets must be a JSON list of lists")
+    for f in facets:
+        for v in f:
+            if type(v) is not int:  # bool is a subclass of int
+                raise ParseError(f"bad facet list: label {json.dumps(v)} is not an integer")
+    return facets
+
+
+def cmd_homology(args) -> int:
+    facets = _facets_from_arg(args.facets)
+    universe = {v for f in facets for v in f}
     field = _field_from_arg(args.field)
     cx = simplicial.from_facets(universe, facets)
     dims = simplicial.reduced_homology_dims(cx, field=field)
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--field", default="q", help="coefficient field: q or gf:<p>")
     parser.add_argument(
-        "--max-r", type=int, default=depth.MAX_R_DEFAULT, help="vertex-count cap"
+        "--max-r", type=int, default=MAX_R_DEFAULT, help="vertex cap on the input graph"
     )
     parser.add_argument(
         "--trace",

@@ -37,11 +37,13 @@ and 1 on the facet route, since a bipartite g has no embedded primes and
 the maximal ideal is not associated.  A caller may pass hint cells, which
 go through the same keying, bitmaps and homology cache as any chunk.  A
 hint that reaches the floor proves the depth and becomes the witness; the
-box is then never scanned, so its size cap does not apply.  A hint that
-misses or lies outside the box is dropped.  Without a hit the box is
-scanned in order up to the first chunk that reaches the floor, and the
-witness is the cell of least (index, position in the box), as over the
-whole box.  So a witness is the least box cell unless hint_hit is set.
+box is then never scanned, so its size cap does not apply.  The vertex cap
+(graphs.MAX_VERTICES_DEFAULT), checked before any 2^r array is built,
+bounds hint and box scans alike.  A hint that misses or lies outside the
+box is dropped.  Without a hit the box is scanned in order up to the
+first chunk that reaches the floor, and the witness is the cell of least
+(index, position in the box), as over the whole box.  So a witness is the
+least box cell unless hint_hit is set.
 
 A disconnected g is split over its components (split_certificates, which
 stability.power_certificates feeds).  Let A be its first component and B
@@ -87,7 +89,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InternalError, NotBipartiteError, TooLargeError
-from .graphs import Graph, decompose, maximal_independent_sets
+from .graphs import MAX_VERTICES_DEFAULT, Graph, decompose, maximal_independent_sets
 from .monomials import (
     MonomialIdeal,
     contains,
@@ -105,7 +107,6 @@ from .simplicial import (
     submasks,
 )
 
-MAX_R_DEFAULT = 10
 MAX_BOX_DEFAULT = 5_000_000
 
 
@@ -136,13 +137,15 @@ class DepthCertificate:
         }
 
 
-def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int], max_r: int = MAX_R_DEFAULT) -> SimplicialComplex:
+def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialComplex:
     """The complex D_a(I) by direct enumeration of the face candidates."""
     a = tuple(int(e) for e in alpha)
     if len(a) != ideal.r:
         raise ValueError("alpha length must equal the ambient variable count")
-    if ideal.r > max_r:
-        raise TooLargeError(f"takayama_complex of r={ideal.r}, cap is {max_r} (--max-r)")
+    if ideal.r > MAX_VERTICES_DEFAULT:
+        raise TooLargeError(
+            f"takayama_complex of r={ideal.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)"
+        )
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     universe0 = [i for i in range(ideal.r) if a[i] >= 0]
@@ -345,20 +348,17 @@ def _scan(
     return certificate(best, scanned, False)
 
 
-def depth_bruteforce(
-    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
-) -> DepthCertificate:
+def depth_bruteforce(ideal: MonomialIdeal, field: FieldChoice = QQ) -> DepthCertificate:
     """Exact depth of R/I by scanning the multidegree box.  The atoms are
     all vertex sets; a cell chooses the violation sets of the generators,
     and its complex avoids them.  The floor is 0, the least index any cell
     can have, so the witness is the least cell of the whole box."""
-    return _ideal_scan(ideal, field, max_r, (), floor=0)
+    return _ideal_scan(ideal, field, (), floor=0)
 
 
 def _ideal_scan(
     ideal: MonomialIdeal,
     field: FieldChoice,
-    max_r: int,
     hints: Sequence[Sequence[int]],
     floor: int,
 ) -> DepthCertificate:
@@ -366,8 +366,8 @@ def _ideal_scan(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    if r > max_r:
-        raise TooLargeError(f"depth scan of r={r}, cap is {max_r} (--max-r)")
+    if r > MAX_VERTICES_DEFAULT:  # before any 2^r array
+        raise TooLargeError(f"depth scan of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     gens = gens_array(ideal)
 
     def violations(alpha: np.ndarray) -> np.ndarray:
@@ -390,7 +390,6 @@ def depth_power(
     g: Graph,
     n: int,
     field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
     hints: Sequence[Sequence[int]] = (),
 ) -> DepthCertificate:
     """depth R/I(g)^n; hints are cells to try first (see _scan).
@@ -400,24 +399,23 @@ def depth_power(
     n - 1 outside them.  The floor there is 1: I(g)^n equals its symbolic
     power, so the maximal ideal is never associated.  Otherwise the scan
     runs on the generators of the power, with floor 0."""
-    return _power_scan(g, n, field, max_r, hints, floor=0)
+    return _power_scan(g, n, field, hints, floor=0)
 
 
 def _power_scan(
     g: Graph,
     n: int,
     field: FieldChoice,
-    max_r: int,
     hints: Sequence[Sequence[int]],
     floor: int,
 ) -> DepthCertificate:
     """depth_power with a floor: a proven lower bound on the depth."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if g.r > max_r:
-        raise TooLargeError(f"depth scan of r={g.r}, cap is {max_r} (--max-r)")
+    if g.r > MAX_VERTICES_DEFAULT:  # before the power and any 2^r array
+        raise TooLargeError(f"depth scan of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     if decompose(g).t:
-        return _ideal_scan(power(edge_ideal(g), n), field, max_r, hints, floor)
+        return _ideal_scan(power(edge_ideal(g), n), field, hints, floor)
     facets = maximal_independent_sets(g)
     atoms = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
     outside = np.array([[v not in f for v in g.vertices] for f in facets], dtype=np.int64)
@@ -438,7 +436,6 @@ def split_certificates(
     b: Iterator[DepthCertificate],
     b_labels: Sequence[int],
     field: FieldChoice,
-    max_r: int,
 ) -> Iterator[DepthCertificate]:
     """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily, for g
     the disjoint union of A and B (see the module docstring).  a and b are
@@ -464,14 +461,12 @@ def split_certificates(
                     for v, e in zip(labels, cert.witness_alpha):
                         cell[v - 1] = e
                 hints.append(cell)
-        cert = _power_scan(g, n, field, max_r, hints, floor)
+        cert = _power_scan(g, n, field, hints, floor)
         first_scans = a_certs[-1].cells_scanned + b_certs[-1].cells_scanned
         yield replace(cert, cells_scanned=cert.cells_scanned + first_scans)
 
 
-def betti_depth_crosscheck(
-    ideal: MonomialIdeal, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
-) -> int:
+def betti_depth_crosscheck(ideal: MonomialIdeal, field: FieldChoice = QQ) -> int:
     """depth R/I via graded Betti numbers of I.
 
     beta_{i,b}(I) is the reduced homology in degree i-1 of the squarefree
@@ -482,8 +477,10 @@ def betti_depth_crosscheck(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    if r > max_r:
-        raise TooLargeError(f"betti crosscheck of r={r}, cap is {max_r} (--max-r)")
+    if r > MAX_VERTICES_DEFAULT:
+        raise TooLargeError(
+            f"betti crosscheck of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)"
+        )
     lcm = [max(g[i] for g in ideal.gens) for i in range(r)]
     cells = 1
     for e in lcm:

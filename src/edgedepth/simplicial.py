@@ -22,6 +22,9 @@ from typing import Iterable, Optional
 from .errors import TooLargeError
 
 MAX_FACES_DEFAULT = 1 << 20
+# Homology by ranks only up to this many faces: every complex on at most 16
+# vertices, the vertex cap of the depth scan, passes.
+MAX_RANK_FACES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,23 @@ def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> Sim
     uni = tuple(sorted(set(int(v) for v in universe)))
     pos = {v: i for i, v in enumerate(uni)}
     faces: set[int] = set()
-    too_many = f"complex has more than {MAX_FACES_DEFAULT} faces (the face cap)"
     for f in facets:
         labels = set(int(v) for v in f)
         if not labels <= pos.keys():
             raise ValueError(f"facet {tuple(sorted(labels))} not contained in the universe")
         # a facet of k vertices brings 2^k faces; refuse before listing them
         if 1 << len(labels) > MAX_FACES_DEFAULT:
-            raise TooLargeError(too_many)
+            raise TooLargeError(
+                f"facet of {len(labels)} vertices has {1 << len(labels)} faces, "
+                f"cap is {MAX_FACES_DEFAULT} (the face cap)"
+            )
         top = sum(1 << pos[v] for v in labels)
         if top not in faces:
             faces.update(submasks(top))
         if len(faces) > MAX_FACES_DEFAULT:
-            raise TooLargeError(too_many)
+            raise TooLargeError(
+                f"complex has over {MAX_FACES_DEFAULT} faces, cap is {MAX_FACES_DEFAULT} (the face cap)"
+            )
     return SimplicialComplex(universe=uni, faces=frozenset(faces))
 
 
@@ -214,11 +221,17 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dic
     The void complex yields an empty dict (all groups zero).  The empty
     face is a genuine chain group generator, so {emptyset} reports
     {-1: 1}.  A cone is acyclic, so it reports zeros without any rank.
+    Any other complex with more than MAX_RANK_FACES faces raises
+    TooLargeError before a rank is taken.
     """
     if cx.is_void:
         return {}
     if is_cone(cx) is not None:
         return {d: 0 for d in range(-1, cx.dim + 1)}
+    if len(cx.faces) > MAX_RANK_FACES:
+        raise TooLargeError(
+            f"homology of {len(cx.faces)} faces, cap is {MAX_RANK_FACES} (the rank cap)"
+        )
     return _rank_homology_dims(cx, field)
 
 

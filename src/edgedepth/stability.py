@@ -23,7 +23,6 @@ from typing import Iterator
 
 from .assoc import full_cover_monomial, spanning_unicyclic_monomial
 from .depth import (
-    MAX_R_DEFAULT,
     DepthCertificate,
     depth_power,
     split_certificates,
@@ -167,9 +166,7 @@ class DstabReport:
         }
 
 
-def dstab_formula(
-    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT
-) -> DstabReport:
+def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
 
@@ -193,7 +190,7 @@ def dstab_formula(
             problem = ""
             if res.note.startswith("four-cycle") and res.note != "four-cycle-pure":
                 try:
-                    oracle = dstab_oracle(sub, field=field, max_r=max_r)
+                    oracle = dstab_oracle(sub, field=field)
                     problem = "" if oracle == res.value else f"disagrees with oracle {oracle}"
                 except TooLargeError as exc:
                     problem = f"unverified ({exc})"
@@ -260,7 +257,7 @@ def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     return {n: [tuple(cell)]}
 
 
-def _witness_stream(g: Graph, field: FieldChoice, max_r: int) -> Iterator[DepthCertificate]:
+def _witness_stream(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
     """depth_power of a connected g at n = 1, 2, ..., with g's witness
     cell (_witness_hints) tried first at its power.  No witness power is
     below g's k, so the cells are built at power k, and a graph whose depth
@@ -270,29 +267,23 @@ def _witness_stream(g: Graph, field: FieldChoice, max_r: int) -> Iterator[DepthC
     for n in itertools.count(1):
         if n == k:
             hints = _witness_hints(g)
-        yield depth_power(g, n, field=field, max_r=max_r, hints=hints.get(n, ()))
+        yield depth_power(g, n, field=field, hints=hints.get(n, ()))
 
 
-def _certificates(g: Graph, field: FieldChoice, max_r: int) -> Iterator[DepthCertificate]:
+def _certificates(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
     """power_certificates without the trace."""
     comps = decompose(g).components
     if len(comps) == 1:
-        return _witness_stream(g, field, max_r)
+        return _witness_stream(g, field)
     a, a_labels = induced_subgraph(g, comps[0])
     b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
     return split_certificates(
-        g,
-        _certificates(a, field, max_r),
-        a_labels,
-        _certificates(b, field, max_r),
-        b_labels,
-        field,
-        max_r,
+        g, _certificates(a, field), a_labels, _certificates(b, field), b_labels, field
     )
 
 
 def power_certificates(
-    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
+    g: Graph, field: FieldChoice = QQ, trace: bool = False
 ) -> Iterator[DepthCertificate]:
     """The certificates of depth R/I(g)^n for n = 1, 2, ..., lazily.
 
@@ -301,7 +292,7 @@ def power_certificates(
     and the rest, as induced_subgraph relabels them, each with a stream of
     its own (depth.split_certificates; the rest is split in turn).  trace
     prints one line per power to stderr."""
-    for n, cert in enumerate(_certificates(g, field, max_r), 1):
+    for n, cert in enumerate(_certificates(g, field), 1):
         if trace:
             print(
                 f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "
@@ -312,26 +303,20 @@ def power_certificates(
 
 
 def depth_sequence(
-    g: Graph,
-    n_max: int,
-    field: FieldChoice = QQ,
-    max_r: int = MAX_R_DEFAULT,
-    trace: bool = False,
+    g: Graph, n_max: int, field: FieldChoice = QQ, trace: bool = False
 ) -> list[int]:
     """depth R/I(g)^n for n = 1 .. n_max, from power_certificates."""
-    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
+    certs = power_certificates(g, field=field, trace=trace)
     return [cert.depth for cert in itertools.islice(certs, n_max)]
 
 
-def dstab_oracle(
-    g: Graph, field: FieldChoice = QQ, max_r: int = MAX_R_DEFAULT, trace: bool = False
-) -> int:
+def dstab_oracle(g: Graph, field: FieldChoice = QQ, trace: bool = False) -> int:
     """The first n <= mt_bound(g) with depth R/I(g)^n at the limit depth,
     by direct computation (power_certificates).  trace prints each power's
     certificate to stderr.  Raises InternalError past the bound."""
     s = depth_limit(g)
     bound = mt_bound(g)
-    certs = power_certificates(g, field=field, max_r=max_r, trace=trace)
+    certs = power_certificates(g, field=field, trace=trace)
     for n, cert in zip(range(1, bound + 1), certs):
         if cert.depth == s:
             return n

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -193,7 +194,7 @@ def test_exit_code_caps(graph_file, capsys):
 
 
 _BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over both box caps
-_R11 = minimalize(11, [(1,) * 11])
+_R17 = minimalize(17, [(1,) * 17])
 _P17 = graphs.build_graph(path_edges(17))
 _C3 = graphs.build_graph(cycle_edges(3))
 
@@ -202,10 +203,10 @@ _C3 = graphs.build_graph(cycle_edges(3))
     "trigger, name",
     [
         (lambda gf: _load_graph(gf("c6.txt", C6_TEXT), 4), "cap is 4 (--max-r)"),
-        (lambda gf: depth_power(_P17, 1), "cap is 10 (--max-r)"),
-        (lambda gf: depth_bruteforce(_R11), "cap is 10 (--max-r)"),
-        (lambda gf: takayama_complex(_R11, (0,) * 11), "cap is 10 (--max-r)"),
-        (lambda gf: betti_depth_crosscheck(_R11), "cap is 10 (--max-r)"),
+        (lambda gf: depth_power(_P17, 1), "cap is 16 (the vertex cap)"),
+        (lambda gf: depth_bruteforce(_R17), "cap is 16 (the vertex cap)"),
+        (lambda gf: takayama_complex(_R17, (0,) * 17), "cap is 16 (the vertex cap)"),
+        (lambda gf: betti_depth_crosscheck(_R17), "cap is 16 (the vertex cap)"),
         (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
         (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
         (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
@@ -309,6 +310,27 @@ def test_split_reaches_boxes_over_the_cap(graph_file, capsys, text, want):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("facets", ['[[1.5, 2]]', '[[true, 2]]', '[["1", "2"]]'])
+def test_homology_rejects_non_integer_labels(capsys, facets):
+    code, out, err = run(capsys, ["homology", "--facets", facets])
+    assert code == 2 and out == "" and "not an integer" in err
+
+
+def _simplex_boundary(m: int) -> str:
+    return json.dumps([[v for v in range(1, m + 1) if v != skip] for skip in range(1, m + 1)])
+
+
+def test_homology_rank_cap(capsys):
+    # the 20-vertex boundary passes the face cap but not the rank cap
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["homology", "--facets", _simplex_boundary(20)])
+    assert code == 3 and "cap is 65536 (the rank cap)" in err
+    assert time.perf_counter() - start < 10
+    code, out, err = run(capsys, ["--format", "json", "homology", "--facets", _simplex_boundary(16)])
+    assert code == 0, err
+    assert {d: n for d, n in json.loads(out)["dims"].items() if n} == {"14": 1}
 
 
 def test_exit_code_bad_field(graph_file, capsys):

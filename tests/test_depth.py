@@ -465,9 +465,15 @@ def test_betti_crosscheck_examples():
 
 
 def test_depth_caps():
-    ideal = minimalize(11, [tuple([1] * 11)])
-    with pytest.raises(TooLargeError):
+    ideal = minimalize(17, [tuple([1] * 17)])
+    with pytest.raises(TooLargeError, match=r"cap is 16 \(the vertex cap\)"):
         depth_bruteforce(ideal)
+
+
+def test_depth_power_takes_no_cap():
+    # 11 vertices, over the CLI's default --max-r but within the library's cap
+    cert = depth_power(build_graph(path_edges(11)), 1)
+    assert cert.depth == 4  # ceil(11 / 3), as --max-r 12 depth-seq reports
 
 
 def test_depth_rejects_trivial_ideals():

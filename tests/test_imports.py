@@ -1,8 +1,10 @@
-"""Source hygiene: every imported name in src/ and tests/ is used, and no
-module in src/ takes an underscore name from another."""
+"""Source hygiene: every imported name in src/ and tests/ is used, no
+module in src/ takes an underscore name from another, and every size cap
+names itself when it refuses."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +108,52 @@ def test_no_private_imports_in_src():
         for problem in private_imports(path.read_text(encoding="utf-8")):
             bad.append(f"{path.relative_to(ROOT)} {problem}")
     assert bad == []
+
+
+# "..., cap is X (name)": the user's --max-r, or one of the library's caps
+_CAP_MESSAGE = re.compile(r".+, cap is [^,()]+ \((--max-r|the [a-z]+ cap)\)")
+
+
+def _template(node: ast.expr) -> str | None:
+    """The text of a string or f-string literal, each replacement field as
+    {}; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def cap_messages(source: str) -> list[tuple[int, str | None]]:
+    """(line, message template) of every raise TooLargeError(...); the
+    template is None unless the one argument is a string literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "TooLargeError":
+            message = _template(call.args[0]) if len(call.args) == 1 and not call.keywords else None
+            found.append((node.lineno, message))
+    return sorted(found)
+
+
+def test_cap_messages_detected():
+    src = (
+        "raise TooLargeError(f'box of {n}, cap is {CAP} (the box cap)')\n"
+        "raise TooLargeError(too_many)\n"
+        "raise ValueError('not a cap')\n"
+    )
+    assert cap_messages(src) == [(1, "box of {}, cap is {} (the box cap)"), (2, None)]
+
+
+def test_cap_messages_name_their_cap():
+    bad, count = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        where = path.relative_to(ROOT)
+        if path.name != "cli.py" and "(--max-r)" in source:
+            bad.append(f"{where}: names (--max-r), which only the CLI checks")
+        for line, message in cap_messages(source):
+            count += 1
+            if message is None or not _CAP_MESSAGE.fullmatch(message):
+                bad.append(f"{where} line {line}: {message!r}")
+    assert bad == [] and count >= 10
