@@ -112,14 +112,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_dstab(args) -> int:
     g = _load_graph(args.graph, args.max_r)
-    field = _field_from_arg(args.field)
     payload: dict = {}
     formula_report = None
     if args.method in ("formula", "both"):
-        formula_report = stability.dstab_formula(g, field=field)
+        formula_report = stability.dstab_formula(g, field=args.field)
         payload["formula"] = formula_report.to_json()
     if args.method in ("oracle", "both"):
-        oracle = stability.dstab_oracle(g, field=field, trace=args.trace)
+        oracle = stability.dstab_oracle(g, field=args.field, trace=args.trace)
         payload["oracle"] = oracle
         if formula_report is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
@@ -136,15 +135,14 @@ def cmd_depth_seq(args) -> int:
     g = _load_graph(args.graph, args.max_r)
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
-    field = _field_from_arg(args.field)
-    seq = stability.depth_sequence(g, args.max_power, field=field, trace=args.trace)
+    seq = stability.depth_sequence(g, args.max_power, field=args.field, trace=args.trace)
     s = stability.depth_limit(g)
     first = next((i + 1 for i, d in enumerate(seq) if d == s), None)
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
     if args.verify:
         ideal = monomials.edge_ideal(g)
         for n in range(1, args.max_power + 1):
-            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=field)
+            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=args.field)
             if other != seq[n - 1]:
                 raise MismatchError(
                     f"power {n}: scan depth {seq[n - 1]} != betti depth {other}"
@@ -205,11 +203,10 @@ def _facets_from_arg(spec: str) -> list[list[int]]:
 def cmd_homology(args) -> int:
     facets = _facets_from_arg(args.facets)
     universe = {v for f in facets for v in f}
-    field = _field_from_arg(args.field)
     cx = simplicial.from_facets(universe, facets)
-    dims = simplicial.reduced_homology_dims(cx, field=field)
+    dims = simplicial.reduced_homology_dims(cx, field=args.field)
     payload = {
-        "field": str(field),
+        "field": str(args.field),
         "dims": {str(d): dims[d] for d in sorted(dims)},
         "facets": [list(f) for f in cx.facets],
     }
@@ -270,6 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = _field_from_arg(args.field)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ vertex sets, the chosen ones are the generators' violation sets
 contain none of them.  For bipartite g the atoms are the independence
 facets, chosen as above.  The scan keys cells on these choices, builds each
 distinct complex as a bitmap over all 2^r vertex sets, and computes the
-homology once per complex up to an order-preserving relabelling.
+homology once per distinct bitmap.
 
 Every cell's index is at least a proven floor: 0 on the generator route,
 and 1 on the facet route, since a bipartite g has no embedded primes and
@@ -84,6 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -184,10 +185,6 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
     return from_facets(range(1, g.r + 1), facets)
 
 
-# Reduced homology of canonical complexes, keyed by (field prime, bitmap
-# bytes from _canonical_keys); first in, first out past the bound.
-_HOMOLOGY_CACHE: dict[tuple[Optional[int], bytes], tuple[Optional[int], int]] = {}
-_HOMOLOGY_CACHE_ENTRIES = 1 << 16
 # Bound on a chunk's cell count times the array entries each cell takes.
 _CHUNK_BUDGET = 1 << 22
 _NO_VALUE = 1 << 32  # above every cohomological index
@@ -223,34 +220,15 @@ def _face_bitmaps(
     return faces
 
 
-def _canonical_keys(faces: np.ndarray, r: int) -> np.ndarray:
-    """Move each complex onto vertices 0..m-1, keeping the vertex order, and
-    pack it: complexes equal up to that relabelling share their bytes."""
-    used = faces[:, 1 << np.arange(r)]
-    count = used.sum(axis=1)
-    order = np.argsort(~used, axis=1, kind="stable")
-    index = np.zeros((len(faces), 1), dtype=np.int64)
-    for t in range(r):
-        step = np.where(count > t, 1 << order[:, t], 0)
-        index = np.concatenate([index, index + step[:, None]], axis=1)
-    canon = np.take_along_axis(faces, index, axis=1)
-    canon &= np.arange(1 << r) < (1 << count)[:, None]
-    return np.packbits(canon, axis=1, bitorder="little")
-
-
+@lru_cache(maxsize=1 << 16)
 def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
     """(least degree of nonzero reduced homology, its dimension) of the
-    complex packed in key; (None, 0) when void or acyclic."""
-    hit = _HOMOLOGY_CACHE.get((field.p, key))
-    if hit is None:
-        faces = np.unpackbits(np.frombuffer(key, dtype=np.uint8), bitorder="little")
-        m = (len(faces) - 1).bit_length()
-        cx = SimplicialComplex(tuple(range(1, m + 1)), frozenset(np.flatnonzero(faces).tolist()))
-        hit = min_nonvanishing_reduced_homology(cx, field=field)
-        if len(_HOMOLOGY_CACHE) >= _HOMOLOGY_CACHE_ENTRIES:
-            del _HOMOLOGY_CACHE[next(iter(_HOMOLOGY_CACHE))]
-        _HOMOLOGY_CACHE[(field.p, key)] = hit
-    return hit
+    complex whose face bitmap over vertex-set masks is packed in key, on the
+    vertices its length spans; (None, 0) when void or acyclic."""
+    faces = np.unpackbits(np.frombuffer(key, dtype=np.uint8), bitorder="little")
+    m = (len(faces) - 1).bit_length()
+    cx = SimplicialComplex(tuple(range(1, m + 1)), frozenset(np.flatnonzero(faces).tolist()))
+    return min_nonvanishing_reduced_homology(cx, field=field)
 
 
 def _rows_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,9 +279,9 @@ def _scan(
         keys = np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)])
         first, _ = _rows_unique(keys)
         faces = _face_bitmaps(neg[first], chosen[first], atoms, r, avoid)
-        canon = _canonical_keys(faces, r)
-        rep, inverse = _rows_unique(canon)
-        found = [_homology(canon[i].tobytes().rstrip(b"\0"), field) for i in rep]
+        packed = np.packbits(faces, axis=1, bitorder="little")
+        rep, inverse = _rows_unique(packed)
+        found = [_homology(packed[i].tobytes().rstrip(b"\0"), field) for i in rep]
         mind = np.array([_NO_VALUE if d is None else d for d, _ in found])[inverse]
         hdims = np.array([h for _, h in found])[inverse]
         values = (alpha[first] < 0).sum(axis=1) + 1 + mind

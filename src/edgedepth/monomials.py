@@ -91,18 +91,11 @@ def minimalize(r: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     if len(degrees) == 1:
         # distinct monomials of equal degree never divide each other
         return MonomialIdeal(r=r, gens=tuple(uniq))
-    if len(uniq) > 64:
-        arr = np.array(uniq, dtype=np.int64)
-        le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-        np.fill_diagonal(le, False)
-        keep = ~le.any(axis=0)
-        minimal = [uniq[i] for i in range(len(uniq)) if keep[i]]
-    else:
-        minimal = [
-            m
-            for m in uniq
-            if not any(g != m and monomial_divides(g, m) for g in uniq)
-        ]
+    arr = np.array(uniq, dtype=np.int64)
+    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    np.fill_diagonal(le, False)
+    keep = ~le.any(axis=0)
+    minimal = [m for m, k in zip(uniq, keep) if k]
     return MonomialIdeal(r=r, gens=tuple(minimal))
 
 
@@ -139,12 +132,6 @@ def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("ambient ring mismatch")
     if a.is_zero or b.is_zero:
         return MonomialIdeal(r=a.r, gens=())
-    if len(a.gens) * len(b.gens) > 4096:
-        arr = (gens_array(a).astype(np.int64)[:, None, :] + gens_array(b).astype(np.int64)[None, :, :]).reshape(
-            -1, a.r
-        )
-        arr = np.unique(arr, axis=0)
-        return minimalize(a.r, [tuple(row) for row in arr.tolist()])
     prods = {monomial_mul(x, y) for x in a.gens for y in b.gens}
     return minimalize(a.r, prods)
 

@@ -34,10 +34,6 @@ class FieldChoice:
     p: Optional[int] = None
 
     @staticmethod
-    def rationals() -> "FieldChoice":
-        return FieldChoice(None)
-
-    @staticmethod
     def gf(p: int) -> "FieldChoice":
         if p < 2:
             raise ValueError("prime must be >= 2")
@@ -53,7 +49,7 @@ class FieldChoice:
         return "Q" if self.p is None else f"GF({self.p})"
 
 
-QQ = FieldChoice.rationals()
+QQ = FieldChoice()
 
 
 @dataclass(frozen=True)

@@ -239,10 +239,7 @@ def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     when g is unicyclic, else from a spanning unicyclic subgraph.  The scan
     checks each cell, so a cell may be wrong, and a walk that reaches no
     full cover only costs the hint."""
-    dec = decompose(g)
-    if dec.p != 1:
-        return {}
-    if dec.t:
+    if decompose(g).t:
         build = full_cover_monomial if is_unicyclic(g) else spanning_unicyclic_monomial
         try:
             n, cell = build(g)
@@ -333,14 +330,6 @@ class WitnessAlpha:
     n: int
     x_side: tuple[int, ...]
     y_side: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "n": self.n,
-            "X": list(self.x_side),
-            "Y": list(self.y_side),
-        }
 
 
 def _check_two_facet_complex(g: Graph, alpha: tuple[int, ...], n: int) -> WitnessAlpha:

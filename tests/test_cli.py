@@ -341,6 +341,14 @@ def test_exit_code_bad_field(graph_file, capsys):
     assert code == 2 and "2^31" in err
 
 
+def test_every_command_checks_the_field(graph_file, capsys):
+    path = graph_file("c4leaf.txt", C4LEAF_TEXT)
+    code, out, err = run(capsys, ["--field", "gf:4", "analyze", path])
+    assert code == 2 and out == "" and "4 is not prime" in err
+    code, out, err = run(capsys, ["--field", "bogus", "ass", path, "--power", "2"])
+    assert code == 2 and out == "" and "unknown field 'bogus'" in err
+
+
 def test_deterministic_output(graph_file, capsys):
     path = graph_file("mix.txt", C3C4_TEXT)
     _, out1, _ = run(capsys, ["--format", "json", "dstab", path])

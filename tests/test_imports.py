@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
-module in src/ takes an underscore name from another, and every size cap
-names itself when it refuses."""
+module in src/ takes an underscore name from another, every size cap
+names itself when it refuses, and every memo in src/ is bounded."""
 from __future__ import annotations
 
 import ast
@@ -157,3 +157,69 @@ def test_cap_messages_name_their_cap():
             if message is None or not _CAP_MESSAGE.fullmatch(message):
                 bad.append(f"{where} line {line}: {message!r}")
     assert bad == [] and count >= 10
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    """The name a decorator goes by: lru_cache for @lru_cache,
+    @functools.lru_cache or @lru_cache(...); None unless a name."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def memos(source: str) -> list[tuple[int, str, str | None]]:
+    """(line, decorator, problem) of every functools memo: an lru_cache must
+    pass a maxsize other than None, and cache may only wrap a function of
+    no parameters, which it stores once."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            name, problem = _decorator_name(dec), None
+            if name == "lru_cache":
+                sizes = [] if not isinstance(dec, ast.Call) else dec.args + [
+                    k.value for k in dec.keywords if k.arg == "maxsize"
+                ]
+                if not sizes:
+                    problem = "no maxsize"
+                elif isinstance(sizes[0], ast.Constant) and sizes[0].value is None:
+                    problem = "maxsize=None"
+            elif name == "cache":
+                a = node.args
+                if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                    problem = f"cache on {node.name}, which takes parameters"
+            else:
+                continue
+            found.append((dec.lineno, name, problem))
+    return sorted(found)
+
+
+def test_memos_detected():
+    src = (
+        "@lru_cache(maxsize=1 << 16)\ndef a(x): ...\n"
+        "@functools.lru_cache(None)\ndef b(x): ...\n"
+        "@lru_cache\ndef c(x): ...\n"
+        "@functools.cache\ndef d(): ...\n"
+        "@cache\ndef e(x, *, y): ...\n"
+        "@property\ndef f(self): ...\n"
+    )
+    assert memos(src) == [
+        (1, "lru_cache", None),
+        (3, "lru_cache", "maxsize=None"),
+        (5, "lru_cache", "no maxsize"),
+        (7, "cache", None),
+        (9, "cache", "cache on e, which takes parameters"),
+    ]
+
+
+def test_memos_are_bounded():
+    bad, count = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, _, problem in memos(path.read_text(encoding="utf-8")):
+            count += 1
+            if problem is not None:
+                bad.append(f"{path.relative_to(ROOT)} line {line}: {problem}")
+    assert bad == [] and count >= 5

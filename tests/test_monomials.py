@@ -8,11 +8,13 @@ import random
 import pytest
 
 from conftest import (
+    complete_edges,
     cycle_edges,
     path_edges,
     power_membership_exhaustive,
     random_graph,
 )
+from edgedepth.depth import _homology
 from edgedepth.graphs import CYCLE_CACHE_ENTRIES, build_graph, cycle_profile
 from edgedepth.monomials import (
     CACHE_ENTRIES,
@@ -49,6 +51,46 @@ def random_ideal(rng: random.Random, r: int, max_gens: int = 5, max_deg: int = 3
 def test_minimalize_drops_multiples():
     ideal = minimalize(2, [(1, 1), (2, 1), (0, 3)])
     assert ideal.gens == ((0, 3), (1, 1))
+
+
+def _naive_minimal(gens) -> tuple[tuple[int, ...], ...]:
+    """The generators no other one divides, by pairwise comparison."""
+    uniq = {tuple(m) for m in gens}
+    return tuple(sorted(
+        m for m in uniq
+        if not any(g != m and all(x <= y for x, y in zip(g, m)) for g in uniq)
+    ))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 10, 64, 65, 300])
+def test_minimalize_matches_naive_filter(count):
+    rng = random.Random(count)
+    box = list(itertools.product(range(5), repeat=5))
+    for _ in range(5):
+        gens = rng.sample(box, count)
+        while count > 1 and len({sum(m) for m in gens}) == 1:  # mixed degrees
+            gens = rng.sample(box, count)
+        assert minimalize(5, gens).gens == _naive_minimal(gens)
+
+
+def test_multiply_matches_naive_products():
+    """Random ideals, and edge-ideal powers whose products fall below and
+    above 4,096, the size at which multiply once took a separate path."""
+    rng = random.Random(7)
+    for _ in range(30):
+        a, b = random_ideal(rng, 4, max_gens=8), random_ideal(rng, 4, max_gens=8)
+        prods = [tuple(x + y for x, y in zip(g, h)) for g in a.gens for h in b.gens]
+        assert multiply(a, b).gens == _naive_minimal(prods)
+    sides = set()
+    for edges, top in ((cycle_edges(10), 5), (complete_edges(7), 4)):
+        ideal = edge_ideal(build_graph(edges))
+        prev = ideal
+        for _ in range(2, top + 1):
+            sides.add(len(prev.gens) * len(ideal.gens) > 4096)
+            prods = {tuple(x + y for x, y in zip(g, h)) for g in prev.gens for h in ideal.gens}
+            prev = multiply(prev, ideal)
+            assert prev == minimalize(ideal.r, prods)
+    assert sides == {False, True}
 
 
 def test_zero_and_unit():
@@ -244,6 +286,7 @@ def test_caches_are_bounded():
     for extra in itertools.islice(picks, CYCLE_CACHE_ENTRIES + 10):
         cycle_profile(build_graph(path_edges(6) + list(itertools.compress(chords, extra))))
     assert cycle_profile.cache_info().currsize <= CYCLE_CACHE_ENTRIES
+    assert _homology.cache_info().maxsize == 1 << 16
 
 
 def test_ass_unit_rejected():
