@@ -203,6 +203,7 @@ def _facets_from_arg(spec: str) -> list[list[int]]:
 def cmd_homology(args) -> int:
     facets = _facets_from_arg(args.facets)
     universe = {v for f in facets for v in f}
+    simplicial.check_rank_cap(facets)
     cx = simplicial.from_facets(universe, facets)
     dims = simplicial.reduced_homology_dims(cx, field=args.field)
     payload = {

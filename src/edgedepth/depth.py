@@ -35,15 +35,28 @@ homology once per distinct bitmap.
 Every cell's index is at least a proven floor: 0 on the generator route,
 and 1 on the facet route, since a bipartite g has no embedded primes and
 the maximal ideal is not associated.  A caller may pass hint cells, which
-go through the same keying, bitmaps and homology cache as any chunk.  A
-hint that reaches the floor proves the depth and becomes the witness; the
-box is then never scanned, so its size cap does not apply.  The vertex cap
+go through the same keying, bitmaps and homology cache as any other cell.
+A hint that reaches the floor proves the depth and becomes the witness;
+nothing else is then looked at.  The vertex cap
 (graphs.MAX_VERTICES_DEFAULT), checked before any 2^r array is built,
-bounds hint and box scans alike.  A hint that misses or lies outside the
-box is dropped.  Without a hit the box is scanned in order up to the
-first chunk that reaches the floor, and the witness is the cell of least
-(index, position in the box), as over the whole box.  So a witness is the
-least box cell unless hint_hit is set.
+bounds every scan.  A hint that misses or lies outside the box is dropped.
+Without a hit, the witness is the cell of least (index, position in the
+box), as over the whole box, found in one of two ways:
+
+- The generator route scans the box in order, in chunks of cells, up to
+  the first chunk that reaches the floor.  A box of more than
+  MAX_BOX_DEFAULT cells is refused (the box cap).
+- The facet route walks the box one coordinate at a time (_walk).  Cells
+  whose partial keys agree are merged into one state at each step: the
+  negative support so far and each facet's weight outside it, capped at n.
+  So the work follows the number of states, not (n + 1)^r, and C8 at
+  n = 4 has 6,437 states over its layers against 390,625 cells.  Each
+  state keeps the least box prefix that reaches it, so the final keys come
+  in order of their least cell, and homology is taken key by key up to the
+  first key at the floor.  A layer whose candidate states would take more
+  than MAX_STATE_BYTES is refused (the state cap); there is no box cap.
+
+So a witness is the least box cell unless hint_hit is set.
 
 A disconnected g is split over its components (split_certificates, which
 stability.power_certificates feeds).  Let A be its first component and B
@@ -109,6 +122,7 @@ from .simplicial import (
 )
 
 MAX_BOX_DEFAULT = 5_000_000
+MAX_STATE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -116,9 +130,11 @@ class DepthCertificate:
     """Result of a depth scan with its witnessing multidegree.
 
     cells_scanned counts the cells whose complex was looked at, hint cells
-    included, and hint_hit says whether a hint cell is the witness.  Neither
-    takes part in equality: scans that stop at different places can prove
-    the same depth with the same witness."""
+    included; on the facet route (bipartite g) it counts the hint cells and
+    the live states summed over the walk's r layers instead of box cells.
+    hint_hit says whether a hint cell is the witness.  Neither takes part
+    in equality: scans that stop at different places can prove the same
+    depth with the same witness."""
 
     depth: int
     witness_alpha: tuple[int, ...]
@@ -246,34 +262,31 @@ def _scan(
     chosen_of,
     avoid: bool,
     field: FieldChoice,
-    width: int,
     floor: int,
     hints: Sequence[Sequence[int]],
+    search,
 ) -> DepthCertificate:
     """The least cohomological index over the alpha box, coordinate j
     ranging over -1 .. sizes[j] - 2, with a witness cell.
 
     A cell's complex is fixed by its negative support and by which atoms
     chosen_of(alpha) picks (a boolean row per cell), and is built by
-    _face_bitmaps; width is the per-cell entry count of chosen_of's largest
-    array.
+    _face_bitmaps.
 
     floor is a proven lower bound on the depth.  The hint cells inside the
-    box are tried first; when one of them reaches the floor it is the
-    witness and nothing else is scanned.  Otherwise the box is scanned in
-    order and stops at the first chunk that reaches the floor.  As no cell
-    lies below the floor, the witness is still the cell of least
-    (cohomological index, position in the box), as a full scan finds it.
+    box are tried first, as alpha rows; when one of them reaches the floor
+    it is the witness and nothing else is looked at.  Otherwise
+    search(least) finds the cell of least (cohomological index, position in
+    the box) and the cells or states it looked at, where least(alpha) is
+    that cell among the rows of alpha.  A search may stop at the first cell
+    that reaches the floor: no cell lies below it.
     """
     r = len(sizes)
-    radix = np.array(sizes, dtype=np.int64)
-    weights = np.cumprod(radix[::-1])[::-1] // radix
     bits = 1 << np.arange(r, dtype=np.int64)
 
-    def least(cells: np.ndarray) -> tuple[int, int, int]:
-        """(value, cell, homology dim) of the cell of least (value, position
-        in cells)."""
-        alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
+    def least(alpha: np.ndarray) -> tuple[int, np.ndarray, int]:
+        """(value, alpha row, homology dim) of the row of least (value,
+        position in alpha)."""
         neg = (alpha < 0) @ bits
         chosen = chosen_of(alpha)
         keys = np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)])
@@ -286,9 +299,9 @@ def _scan(
         hdims = np.array([h for _, h in found])[inverse]
         values = (alpha[first] < 0).sum(axis=1) + 1 + mind
         j = np.lexsort((first, values))[0]
-        return int(values[j]), int(cells[first[j]]), int(hdims[j])
+        return int(values[j]), alpha[first[j]], int(hdims[j])
 
-    def certificate(best: tuple[int, int, int], scanned: int, hit: bool) -> DepthCertificate:
+    def certificate(best: tuple[int, np.ndarray, int], scanned: int, hit: bool) -> DepthCertificate:
         value, cell, hdim = best
         if value == _NO_VALUE:
             raise InternalError("depth scan found no nonvanishing local cohomology")
@@ -296,7 +309,7 @@ def _scan(
             raise InternalError(f"depth scan found index {value} below the floor {floor}")
         return DepthCertificate(
             depth=value,
-            witness_alpha=tuple(int(e) for e in (cell // weights) % radix - 1),
+            witness_alpha=tuple(int(e) for e in cell),
             homology_dim=hdim,
             scan_box=tuple(int(s) for s in sizes),
             cells_scanned=scanned,
@@ -307,23 +320,142 @@ def _scan(
         h for h in hints
         if len(h) == r and all(-1 <= a <= s - 2 for a, s in zip(h, sizes))
     ]
-    scanned = len(inside)
     if inside:
-        best = least((np.array(inside, dtype=np.int64) + 1) @ weights)
+        best = least(np.array(inside, dtype=np.int16))
         if best[0] <= floor:
-            return certificate(best, scanned, True)
+            return certificate(best, len(inside), True)
+    best, scanned = search(least)
+    return certificate(best, len(inside) + scanned, False)
+
+
+def _box_search(sizes: Sequence[int], width: int, floor: int, least):
+    """The box in chunks of cells, in order, up to the first chunk that
+    reaches the floor; width is the per-cell entry count of the largest
+    array a chunk takes.  Returns least's best and the cells scanned."""
     n_cells = math.prod(sizes)
     if n_cells > MAX_BOX_DEFAULT:
         raise TooLargeError(f"depth box has {n_cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
-    chunk = max(1, _CHUNK_BUDGET // (width + len(atoms) + (1 << r)))
-    best = (_NO_VALUE, 0, 0)
+    radix = np.array(sizes, dtype=np.int64)
+    weights = np.cumprod(radix[::-1])[::-1] // radix
+    chunk = max(1, _CHUNK_BUDGET // width)
+    best, scanned = (_NO_VALUE, None, 0), 0
     for off in range(0, n_cells, chunk):
         cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
         scanned += len(cells)
-        best = min(best, least(cells))
+        found = least(((cells[:, None] // weights) % radix - 1).astype(np.int16))
+        if found[0] < best[0]:  # an earlier chunk wins a tie
+            best = found
         if best[0] <= floor:
             break
-    return certificate(best, scanned, False)
+    return best, scanned
+
+
+def _slots(n_fields: int, width: int, r: int) -> list[tuple[int, int]]:
+    """(word, shift) of each of n_fields fields of width bits that follow r
+    bits in a row of uint64 words, in order, none across two words."""
+    slots, at = [], r
+    for _ in range(n_fields):
+        if at % 64 + width > 64:
+            at += 64 - at % 64
+        slots.append(divmod(at, 64))
+        at += width
+    return slots
+
+
+def _pack(neg: np.ndarray, fields: np.ndarray, slots: list[tuple[int, int]], k: int) -> np.ndarray:
+    """Rows (neg, fields) as k uint64 words each: neg in the low bits of the
+    first word, field f at slots[f]."""
+    words = np.zeros((len(neg), k), dtype=np.uint64)
+    words[:, 0] = neg
+    for f, (word, shift) in enumerate(slots):
+        words[:, word] |= fields[:, f].astype(np.uint64) << np.uint64(shift)
+    return words
+
+
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, ascending."""
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
+def _walk(
+    outside: np.ndarray, n: int, atoms: np.ndarray, field: FieldChoice, floor: int
+):
+    """The facet route's search (see _scan): the box (n + 1)^r one
+    coordinate at a time over merged states.
+
+    After coordinates 1..j a cell's state is its negative support so far
+    and each facet's weight outside it, capped at n; a negative coordinate
+    outside a facet sets that weight to n.  The final key is the negative
+    support and the facets of weight at most n - 1, which is what
+    chosen_facets picks.  A layer's candidates are its states' extensions,
+    state by state in order, the coordinate's value -1 .. n - 1 varying
+    fastest, and only the first occurrence of each distinct candidate is
+    kept.  By induction each state is then kept in the order of, and with
+    back-pointers to, the least box prefix that reaches it, so the final
+    keys come in order of their least cell, and the least cell of a key
+    reaches it through its back-pointers.  Homology is then taken key by
+    key in that order up to the first key at the floor (_least_key), so
+    none is taken that the chunked scan of the same box would not take.
+
+    outside[f, j] says vertex j + 1 is outside facet f.  Returns _scan's
+    best and the live states summed over the layers.  A layer whose
+    candidates' packed keys would take more than MAX_STATE_BYTES raises
+    TooLargeError."""
+    n_facets, r = outside.shape
+    wtype = np.min_scalar_type(2 * n)  # holds a weight plus an addend
+    outside = outside.astype(wtype)
+    adds = [n] + list(range(n))  # per box digit: -1 weighs n outside
+    weights = np.zeros((1, n_facets), dtype=wtype)
+    neg = np.zeros(1, dtype=np.uint64)
+    layers = []  # per layer, each kept state's candidate index
+    for j in range(r):
+        last = j == r - 1
+        slots = _slots(n_facets, 1 if last else n.bit_length(), r)
+        k = 1 + slots[-1][0]
+        rows = len(neg) * (n + 1)
+        if rows * k * 8 > MAX_STATE_BYTES:
+            raise TooLargeError(
+                f"depth walk layer {j + 1} needs {rows * k * 8} bytes of states, "
+                f"cap is {MAX_STATE_BYTES} (the state cap)"
+            )
+        keys = np.empty((len(neg), n + 1, k), dtype=np.uint64)
+        for d, add in enumerate(adds):
+            cand = np.minimum(weights + add * outside[:, j], n)
+            keys[:, d] = _pack(neg | np.uint64((d == 0) << j), cand < n if last else cand, slots, k)
+        first = _first_rows(keys.reshape(rows, k))
+        layers.append(first)
+        parent, digit = np.divmod(first, n + 1)
+        weights = np.minimum(weights[parent] + np.array(adds, dtype=wtype)[digit, None] * outside[:, j], n)
+        neg = neg[parent] | ((digit == 0).astype(np.uint64) << np.uint64(j))
+    value, i, hdim = _least_key(neg.astype(np.int64), weights < n, atoms, r, field, floor)
+    cell = np.zeros(r, dtype=np.int16)
+    for j in range(r - 1, -1, -1):
+        i, cell[j] = divmod(int(layers[j][i]), n + 1)
+    return (value, cell - 1, hdim), sum(len(first) for first in layers)
+
+
+def _least_key(
+    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, field: FieldChoice, floor: int
+) -> tuple[int, int, int]:
+    """(value, key, homology dim) of the key of least (value, position) among
+    the facet route's keys (neg, chosen), up to the first key at the floor.
+    The complexes are built in batches, their homology taken key by key."""
+    counts = ((neg[:, None] >> np.arange(r)) & 1).sum(axis=1)
+    best = (_NO_VALUE, 0, 0)
+    batch = max(1, _CHUNK_BUDGET // (len(atoms) + (1 << r)))
+    for off in range(0, len(neg), batch):
+        faces = _face_bitmaps(neg[off:off + batch], chosen[off:off + batch], atoms, r, False)
+        for i, row in enumerate(np.packbits(faces, axis=1, bitorder="little"), off):
+            d, h = _homology(row.tobytes().rstrip(b"\0"), field)
+            if d is not None and counts[i] + 1 + d < best[0]:
+                best = (int(counts[i]) + 1 + d, i, h)
+                if best[0] <= floor:
+                    return best
+    return best
 
 
 def depth_bruteforce(ideal: MonomialIdeal, field: FieldChoice = QQ) -> DepthCertificate:
@@ -359,8 +491,10 @@ def _ideal_scan(
         return chosen
 
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
+    width = len(gens) + (2 << r)  # violation masks, chosen sets, face bitmaps
     return _scan(
-        sizes, np.arange(1 << r), violations, True, field, len(gens), floor, hints
+        sizes, np.arange(1 << r), violations, True, field, floor, hints,
+        lambda least: _box_search(sizes, width, floor, least),
     )
 
 
@@ -402,8 +536,10 @@ def _power_scan(
         # a negative coordinate outside a facet outweighs n - 1 on its own
         return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
 
+    floor = max(floor, 1)
     return _scan(
-        [n + 1] * g.r, atoms, chosen_facets, False, field, len(facets), max(floor, 1), hints
+        [n + 1] * g.r, atoms, chosen_facets, False, field, floor, hints,
+        lambda least: _walk(outside, n, atoms, field, floor),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import TooLargeError
-from .graphs import Graph, minimal_vertex_covers
+from .graphs import Graph
 
 Monomial = tuple[int, ...]
 
@@ -147,15 +147,6 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return multiply(power(ideal, n - 1), ideal)
 
 
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.r != b.r:
-        raise ValueError("ambient ring mismatch")
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal(r=a.r, gens=())
-    lcms = {monomial_lcm(x, y) for x in a.gens for y in b.gens}
-    return minimalize(a.r, lcms)
-
-
 def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
     """(I : x^m)."""
     mt = tuple(int(e) for e in m)
@@ -163,21 +154,6 @@ def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
         return ideal
     quotients = {tuple(max(g_i - m_i, 0) for g_i, m_i in zip(g, mt)) for g in ideal.gens}
     return minimalize(ideal.r, quotients)
-
-
-def localize(ideal: MonomialIdeal, ones: Iterable[int]) -> MonomialIdeal:
-    """Set x_i = 1 for the 1-based indices in `ones` and re-minimalize."""
-    drop = set(int(i) for i in ones)
-    for i in drop:
-        if not 1 <= i <= ideal.r:
-            raise ValueError(f"index {i} out of range 1..{ideal.r}")
-    if ideal.is_zero:
-        return ideal
-    gens = {
-        tuple(0 if (i + 1) in drop else e for i, e in enumerate(g))
-        for g in ideal.gens
-    }
-    return minimalize(ideal.r, gens)
 
 
 def variable_ideal(r: int, support: Iterable[int]) -> MonomialIdeal:
@@ -192,18 +168,6 @@ def variable_ideal(r: int, support: Iterable[int]) -> MonomialIdeal:
 
 def maximal_ideal(r: int) -> MonomialIdeal:
     return variable_ideal(r, range(1, r + 1))
-
-
-def symbolic_member(g: Graph, n: int, m: Sequence[int]) -> bool:
-    """Membership of x^m in the n-th symbolic power of the edge ideal of g:
-    the degree of m on every minimal vertex cover must be at least n."""
-    mt = tuple(m)
-    if len(mt) != g.r:
-        raise ValueError("monomial length must equal the vertex count")
-    for cover in minimal_vertex_covers(g):
-        if sum(mt[v - 1] for v in cover) < n:
-            return False
-    return True
 
 
 def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:

@@ -127,10 +127,6 @@ def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> Sim
     return SimplicialComplex(universe=uni, faces=frozenset(faces))
 
 
-def void_complex(universe: Iterable[int] = ()) -> SimplicialComplex:
-    return SimplicialComplex(universe=tuple(sorted(set(universe))), faces=frozenset())
-
-
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; the universes must be disjoint.  Joining with the
     void complex gives the void complex; {emptyset} is the identity."""
@@ -231,6 +227,23 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dic
     return _rank_homology_dims(cx, field)
 
 
+def check_rank_cap(facets: Iterable[Iterable[int]]) -> None:
+    """Refuse a facet list before from_facets builds its complex, when
+    reduced_homology_dims would refuse the complex for its largest facet
+    alone: a facet of k vertices brings 2^k faces, over MAX_RANK_FACES, and
+    the complex is not a cone, that is, no vertex lies in all of its
+    maximal facets."""
+    sets = {frozenset(int(v) for v in f) for f in facets}
+    k = max(map(len, sets), default=0)
+    if 1 << k <= MAX_RANK_FACES:
+        return
+    maximal = [s for s in sets if not any(s < t for t in sets)]
+    if not frozenset.intersection(*maximal):
+        raise TooLargeError(
+            f"homology of at least {1 << k} faces, cap is {MAX_RANK_FACES} (the rank cap)"
+        )
+
+
 def _rank_homology_dims(cx: SimplicialComplex, field: FieldChoice) -> dict[int, int]:
     """Reduced homology of a non-void complex from its boundary ranks."""
     by_dim: dict[int, list[int]] = {}
@@ -255,8 +268,3 @@ def min_nonvanishing_reduced_homology(
         if dims[d]:
             return d, dims[d]
     return None, 0
-
-
-def euler_characteristic_reduced(cx: SimplicialComplex) -> int:
-    """Alternating sum over all faces including the empty one; 0 for void."""
-    return sum(-1 if s.bit_count() % 2 == 0 else 1 for s in cx.faces)

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable, Sequence
 
-from edgedepth.graphs import Graph, build_graph
+from edgedepth.graphs import Graph, build_graph, minimal_vertex_covers
+from edgedepth.monomials import MonomialIdeal, minimalize, monomial_lcm
+from edgedepth.simplicial import SimplicialComplex
 
 # One line per acceptance criterion, echoed after the test summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -124,3 +127,48 @@ def isomorphism_classes(graph_list: list[Graph]) -> list[Graph]:
             reps.append((invariant, ng, g))
             out.append(g)
     return out
+
+
+def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    if a.r != b.r:
+        raise ValueError("ambient ring mismatch")
+    if a.is_zero or b.is_zero:
+        return MonomialIdeal(r=a.r, gens=())
+    lcms = {monomial_lcm(x, y) for x in a.gens for y in b.gens}
+    return minimalize(a.r, lcms)
+
+
+def localize(ideal: MonomialIdeal, ones: Iterable[int]) -> MonomialIdeal:
+    """Set x_i = 1 for the 1-based indices in `ones` and re-minimalize."""
+    drop = set(int(i) for i in ones)
+    for i in drop:
+        if not 1 <= i <= ideal.r:
+            raise ValueError(f"index {i} out of range 1..{ideal.r}")
+    if ideal.is_zero:
+        return ideal
+    gens = {
+        tuple(0 if (i + 1) in drop else e for i, e in enumerate(g))
+        for g in ideal.gens
+    }
+    return minimalize(ideal.r, gens)
+
+
+def symbolic_member(g: Graph, n: int, m: Sequence[int]) -> bool:
+    """Membership of x^m in the n-th symbolic power of the edge ideal of g:
+    the degree of m on every minimal vertex cover must be at least n."""
+    mt = tuple(m)
+    if len(mt) != g.r:
+        raise ValueError("monomial length must equal the vertex count")
+    for cover in minimal_vertex_covers(g):
+        if sum(mt[v - 1] for v in cover) < n:
+            return False
+    return True
+
+
+def void_complex(universe: Iterable[int] = ()) -> SimplicialComplex:
+    return SimplicialComplex(universe=tuple(sorted(set(universe))), faces=frozenset())
+
+
+def euler_characteristic_reduced(cx: SimplicialComplex) -> int:
+    """Alternating sum over all faces including the empty one; 0 for void."""
+    return sum(-1 if s.bit_count() % 2 == 0 else 1 for s in cx.faces)

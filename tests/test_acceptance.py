@@ -15,11 +15,13 @@ import numpy as np
 import conftest
 from conftest import (
     cycle_edges,
+    intersect,
     isomorphism_classes,
     path_edges,
     random_connected_graph,
     random_graph,
     star_edges,
+    symbolic_member,
 )
 from edgedepth.assoc import ass_formula, witness_monomial
 from edgedepth.depth import (
@@ -43,7 +45,6 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
-    intersect,
     maximal_ideal,
     minimalize,
     multiply,
@@ -266,8 +267,6 @@ def test_acceptance_6_symbolic_equals_ordinary_for_bipartite():
                 bad.append(f"{g.edges} n={n}")
     # odd cycles break the equivalence: the triangle at n=2
     c3 = build_graph(cycle_edges(3))
-    from edgedepth.monomials import symbolic_member
-
     counterexample_ok = symbolic_member(c3, 2, (1, 1, 1)) and not contains(
         power(edge_ideal(c3), 2), (1, 1, 1)
     )

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import cycle_edges, path_edges
-from edgedepth import assoc, graphs, stability
+from edgedepth import assoc, depth, graphs, simplicial, stability
 from edgedepth.cli import _load_graph, build_parser, main
 from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
 from edgedepth.errors import TooLargeError
@@ -37,6 +37,8 @@ P11_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 11))
 K6_TEXT = "".join(f"{i} {j}\n" for i in range(1, 7) for j in range(i + 1, 7))
 P5P5_TEXT = "".join(f"{i} {i + 1}\n" for i in (1, 2, 3, 4, 6, 7, 8, 9))
 C3P7_TEXT = C3_TEXT + "".join(f"{i} {i + 1}\n" for i in range(4, 10))
+C8_TEXT = "".join(f"{i} {i % 8 + 1}\n" for i in range(1, 9))
+C10_TEXT = "".join(f"{i} {i % 10 + 1}\n" for i in range(1, 11))
 
 
 def run(capsys, argv):
@@ -227,15 +229,32 @@ def test_each_cap_names_itself(graph_file, trigger, name):
     assert name in str(info.value)
 
 
-def test_missed_hint_over_box_cap_exits_3(graph_file, capsys, monkeypatch):
-    # P8's last power has 7^8 cells, over the box cap: only its witness
-    # cell spares the scan, so a hint that misses must end in the cap
+def test_missed_hint_over_box_cap_is_walked(graph_file, capsys, monkeypatch):
+    # P8's last power has 7^8 cells, over the box cap, which the facet
+    # route does not have: when its witness cell misses, the walk still
+    # finds depth 1 there
     path = graph_file("p8.txt", P8_TEXT)
     code, out, _ = run(capsys, ["--format", "json", "dstab", "--method", "oracle", path])
     assert code == 0 and json.loads(out)["oracle"] == 6
     monkeypatch.setattr(stability, "_witness_hints", lambda g: {6: [(0,) * 8]})
-    code, _, err = run(capsys, ["dstab", "--method", "oracle", path])
-    assert code == 3 and "cap is 5000000" in err
+    code, out, err = run(capsys, ["--trace", "--format", "json", "dstab", "--method", "oracle", path])
+    assert code == 0 and json.loads(out)["oracle"] == 6
+    assert "power 6: depth=1" in err and "hint_hit=False" in err.splitlines()[-1]
+
+
+def test_state_cap_exits_3(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(depth, "MAX_STATE_BYTES", 1 << 12)
+    code, _, err = run(capsys, ["dstab", "--method", "oracle", graph_file("c8.txt", C8_TEXT)])
+    assert code == 3 and "cap is 4096 (the state cap)" in err
+
+
+def test_dstab_reaches_c10(graph_file, capsys):
+    # C10's box at n = 4 has 5^10 cells, over the box cap; the walk's
+    # states are far fewer, and the paper's witness cell settles n = 6
+    code, out, err = run(capsys, ["--format", "json", "dstab", graph_file("c10.txt", C10_TEXT)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["oracle"] == payload["formula"]["value"] == 6
 
 
 def test_dstab_trace_prints_each_power(graph_file, capsys):
@@ -322,15 +341,24 @@ def _simplex_boundary(m: int) -> str:
     return json.dumps([[v for v in range(1, m + 1) if v != skip] for skip in range(1, m + 1)])
 
 
-def test_homology_rank_cap(capsys):
-    # the 20-vertex boundary passes the face cap but not the rank cap
+def test_homology_rank_cap(capsys, monkeypatch):
+    # the 20-vertex boundary passes the face cap but not the rank cap, and
+    # is refused from its facets, before its complex is built
+    built = []
+    monkeypatch.setattr(simplicial, "from_facets", lambda *a: built.append(a) or from_facets(*a))
     start = time.perf_counter()
     code, _, err = run(capsys, ["homology", "--facets", _simplex_boundary(20)])
     assert code == 3 and "cap is 65536 (the rank cap)" in err
     assert time.perf_counter() - start < 10
+    assert built == []
     code, out, err = run(capsys, ["--format", "json", "homology", "--facets", _simplex_boundary(16)])
     assert code == 0, err
     assert {d: n for d, n in json.loads(out)["dims"].items() if n} == {"14": 1}
+    # a cone over the rank cap, vertex 1 in both maximal facets, is acyclic
+    cone = json.dumps([list(range(1, 18)), [1, 18], [2, 3]])
+    code, out, err = run(capsys, ["--format", "json", "homology", "--facets", cone])
+    assert code == 0 and not any(json.loads(out)["dims"].values()), err
+    assert len(built) == 2
 
 
 def test_exit_code_bad_field(graph_file, capsys):

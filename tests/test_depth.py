@@ -12,9 +12,11 @@ import pytest
 from conftest import (
     complete_edges,
     cycle_edges,
+    localize,
     path_edges,
     random_connected_graph,
     random_graph,
+    void_complex,
 )
 from edgedepth import depth
 from edgedepth.depth import (
@@ -31,7 +33,6 @@ from edgedepth.monomials import (
     associated_primes_bruteforce,
     contains,
     edge_ideal,
-    localize,
     minimalize,
     power,
 )
@@ -41,7 +42,6 @@ from edgedepth.simplicial import (
     from_facets,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
-    void_complex,
 )
 from edgedepth.stability import depth_limit, depth_sequence, dstab_oracle, power_certificates
 from test_monomials import random_ideal
@@ -226,18 +226,26 @@ def test_depth_c6_sequence():
 
 
 def test_fast_path_agrees_with_generator_scan():
-    # the facet route of depth_power against the generator scan of the
-    # power: same box, same complexes, so the same certificate
+    # the facet route of depth_power (the walk) against the chunked
+    # generator scan of the power: same box, same complexes, so the same
+    # certificate.  Disconnected graphs are walked whole here.
     rng = random.Random(37)
-    checked = 0
-    while checked < 10:
-        g = random_graph(rng, rng.randint(2, 6))
-        if decompose(g).t:
-            continue
-        checked += 1
-        for n in (1, 2, 3):
+    graphs = []
+    while len(graphs) < 32:
+        if len(graphs) < 8:
+            g = random_graph(rng, 7)
+        elif len(graphs) < 16:  # two or three pieces, on at most 7 vertices
+            sizes = rng.choice([(2, 2), (2, 3), (3, 4), (2, 5), (2, 2, 2), (2, 2, 3)])
+            g = _disjoint_union([random_connected_graph(rng, v, max_extra=2) for v in sizes])
+        else:
+            g = random_graph(rng, rng.randint(2, 6))
+        if not decompose(g).t:
+            graphs.append(g)
+    assert sum(g.r == 7 for g in graphs) >= 8 and sum(decompose(g).p > 1 for g in graphs) >= 8
+    for g in graphs:
+        for n in (1, 2) if g.r == 7 else (1, 2, 3):
             ideal = power(edge_ideal(g), n)
-            for field in (QQ, FieldChoice.gf(2)):
+            for field in (QQ, FieldChoice.gf(2), FieldChoice.gf(3)):
                 assert depth_power(g, n, field=field) == depth_bruteforce(
                     ideal, field=field
                 )
@@ -291,6 +299,10 @@ def test_certificate_is_least_cell_of_full_box(monkeypatch):
         g = random_graph(rng, rng.randint(2, 5))
         if not decompose(g).t:
             graphs.append(g)
+    while len(graphs) < 18:
+        g = random_graph(rng, rng.randint(3, 5))
+        if decompose(g).t:
+            graphs.append(g)
     floors = 0
     for g in graphs:
         for n in (1, 2):
@@ -298,8 +310,9 @@ def test_certificate_is_least_cell_of_full_box(monkeypatch):
             assert cert.scan_box == (n + 1,) * g.r
             want = _least_cell(power(edge_ideal(g), n), cert.scan_box)
             assert (cert.depth, cert.witness_alpha, cert.homology_dim) == want
-            floors += cert.depth == 1
-            early += cert.cells_scanned < math.prod(cert.scan_box)
+            floors += cert.depth == 1 and not decompose(g).t
+            if decompose(g).t:  # the facet route's walk counts states, not cells
+                early += cert.cells_scanned < math.prod(cert.scan_box)
     assert floors >= 5 and early >= 8 and sum(decompose(g).p > 1 for g in graphs) >= 2
 
 
@@ -324,13 +337,38 @@ def test_scan_stops_at_floor_and_takes_hints_first():
     assert hinted.to_json()["hint_hit"] is True
 
 
-def test_missed_hint_on_an_over_cap_box_names_the_cap():
-    p8 = build_graph(path_edges(8))  # 7^8 cells at n = 6
+def test_missed_hint_on_an_over_cap_box_is_walked():
+    # 7^8 cells at n = 6, over the box cap, which the facet route's walk
+    # does not have: a hint that misses leaves the walk to find depth 1
+    p8 = build_graph(path_edges(8))
     cert = depth_power(p8, 6, hints=[(0, 1, 2, 2, 2, 2, 1, 0)])
     assert cert.hint_hit and cert.depth == 1
+    assert math.prod(cert.scan_box) > depth.MAX_BOX_DEFAULT
     for miss in ((0,) * 8, (7, 1, 2, 2, 2, 2, 1, 0)):
-        with pytest.raises(TooLargeError, match="cap is 5000000"):
-            depth_power(p8, 6, hints=[miss])
+        walked = depth_power(p8, 6, hints=[miss])
+        assert walked.depth == 1 and not walked.hint_hit
+        assert walked.cells_scanned < depth.MAX_BOX_DEFAULT
+        _assert_witness(walked, power(edge_ideal(p8), 6))
+
+
+def test_hint_on_a_box_past_int64():
+    # P16 at n = 15 has 16^16 = 2^64 cells; mu(P16) plus 1 on vertices 2
+    # and 3 gives <X, Y>, whose H_0 puts the cell at the floor
+    p16 = build_graph(path_edges(16))
+    cell = [0, 2, 3] + [2] * 11 + [1, 0]
+    assert bipartite_power_complex(p16, cell, 15).facets == (
+        tuple(range(1, 17, 2)), tuple(range(2, 17, 2))
+    )
+    cert = depth_power(p16, 15, hints=[cell])
+    assert cert.hint_hit and cert.depth == 1 and cert.homology_dim == 1
+    assert cert.witness_alpha == tuple(cell) and cert.scan_box == (16,) * 16
+
+
+def test_walk_refuses_over_the_state_cap(monkeypatch):
+    # the cap bounds one layer's candidate keys, in bytes
+    monkeypatch.setattr(depth, "MAX_STATE_BYTES", 4096)
+    with pytest.raises(TooLargeError, match=r"cap is 4096 \(the state cap\)"):
+        depth_power(build_graph(cycle_edges(8)), 4)
 
 
 def _disjoint_union(pieces):

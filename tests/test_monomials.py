@@ -11,8 +11,11 @@ from conftest import (
     complete_edges,
     cycle_edges,
     path_edges,
+    intersect,
+    localize,
     power_membership_exhaustive,
     random_graph,
+    symbolic_member,
 )
 from edgedepth.depth import _homology
 from edgedepth.graphs import CYCLE_CACHE_ENTRIES, build_graph, cycle_profile
@@ -26,14 +29,11 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
-    intersect,
-    localize,
     maximal_ideal,
     minimalize,
     monomial_str,
     multiply,
     power,
-    symbolic_member,
     variable_ideal,
 )
 

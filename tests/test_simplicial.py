@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import euler_characteristic_reduced, void_complex
 from edgedepth import simplicial
 from edgedepth.simplicial import (
     QQ,
     FieldChoice,
-    euler_characteristic_reduced,
     from_facets,
     is_cone,
     join,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
-    void_complex,
 )
 
 
