@@ -284,7 +284,7 @@ def _scan(
     r = len(sizes)
     bits = 1 << np.arange(r, dtype=np.int64)
 
-    def least(alpha: np.ndarray) -> tuple[int, np.ndarray, int]:
+    def least(alpha: np.ndarray) -> tuple[int, tuple[int, ...], int]:
         """(value, alpha row, homology dim) of the row of least (value,
         position in alpha)."""
         neg = (alpha < 0) @ bits
@@ -299,9 +299,9 @@ def _scan(
         hdims = np.array([h for _, h in found])[inverse]
         values = (alpha[first] < 0).sum(axis=1) + 1 + mind
         j = np.lexsort((first, values))[0]
-        return int(values[j]), alpha[first[j]], int(hdims[j])
+        return int(values[j]), tuple(int(e) for e in alpha[first[j]]), int(hdims[j])
 
-    def certificate(best: tuple[int, np.ndarray, int], scanned: int, hit: bool) -> DepthCertificate:
+    def certificate(best: tuple[int, tuple[int, ...], int], scanned: int, hit: bool) -> DepthCertificate:
         value, cell, hdim = best
         if value == _NO_VALUE:
             raise InternalError("depth scan found no nonvanishing local cohomology")
@@ -309,7 +309,7 @@ def _scan(
             raise InternalError(f"depth scan found index {value} below the floor {floor}")
         return DepthCertificate(
             depth=value,
-            witness_alpha=tuple(int(e) for e in cell),
+            witness_alpha=cell,
             homology_dim=hdim,
             scan_box=tuple(int(s) for s in sizes),
             cells_scanned=scanned,
@@ -374,7 +374,7 @@ def _pack(neg: np.ndarray, fields: np.ndarray, slots: list[tuple[int, int]], k: 
 
 def _first_rows(words: np.ndarray) -> np.ndarray:
     """The index of each distinct row's first occurrence, ascending."""
-    order = np.lexsort(words.T[::-1])
+    order = np.lexsort(words.T)
     words = words[order]
     new = np.ones(len(words), dtype=bool)
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -435,7 +435,7 @@ def _walk(
     cell = np.zeros(r, dtype=np.int16)
     for j in range(r - 1, -1, -1):
         i, cell[j] = divmod(int(layers[j][i]), n + 1)
-    return (value, cell - 1, hdim), sum(len(first) for first in layers)
+    return (value, tuple(int(e) - 1 for e in cell), hdim), sum(len(first) for first in layers)
 
 
 def _least_key(
