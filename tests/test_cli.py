@@ -243,6 +243,8 @@ def test_missed_hint_over_box_cap_is_walked(graph_file, capsys, monkeypatch):
 
 
 def test_state_cap_exits_3(graph_file, capsys, monkeypatch):
+    # P16 at n = 6 meets the real cap only after seconds and 150 MB; a
+    # small cap takes C8 through the same refusal
     monkeypatch.setattr(depth, "MAX_STATE_BYTES", 1 << 12)
     code, _, err = run(capsys, ["dstab", "--method", "oracle", graph_file("c8.txt", C8_TEXT)])
     assert code == 3 and "cap is 4096 (the state cap)" in err

@@ -364,13 +364,6 @@ def test_hint_on_a_box_past_int64():
     assert cert.witness_alpha == tuple(cell) and cert.scan_box == (16,) * 16
 
 
-def test_walk_refuses_over_the_state_cap(monkeypatch):
-    # the cap bounds one layer's candidate keys, in bytes
-    monkeypatch.setattr(depth, "MAX_STATE_BYTES", 4096)
-    with pytest.raises(TooLargeError, match=r"cap is 4096 \(the state cap\)"):
-        depth_power(build_graph(cycle_edges(8)), 4)
-
-
 def _disjoint_union(pieces):
     edges, off = [], 0
     for piece in pieces:
