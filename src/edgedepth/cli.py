@@ -13,7 +13,6 @@ import sys
 
 from . import assoc, depth, graphs, monomials, simplicial, stability
 from .errors import (
-    EdgeIdealError,
     GraphError,
     InternalError,
     MismatchError,
@@ -164,7 +163,7 @@ def cmd_ass(args) -> int:
         try:
             formula_result = assoc.ass_formula(g, n, trace=args.trace)
             method = "both"
-        except EdgeIdealError:
+        except GraphError:  # g outside the formula's class; caps and faults still stop
             method = "bruteforce"
     elif method in ("formula", "both"):
         formula_result = assoc.ass_formula(g, n, trace=args.trace)
@@ -269,6 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.field = _field_from_arg(args.field)
+        if args.max_r < 1:
+            raise ParseError(f"--max-r must be at least 1, got {args.max_r}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,14 +28,18 @@ the "atoms" the cell chooses.  For an arbitrary ideal the atoms are all
 vertex sets, the chosen ones are the generators' violation sets
 {i not in G_a : g_i > a_i}, and D_a is the subsets of [r] \\ G_a that
 contain none of them.  For bipartite g the atoms are the independence
-facets, chosen as above.  The scan keys cells on these choices, builds each
-distinct complex as a bitmap over all 2^r vertex sets, and computes the
-homology once per distinct bitmap.
+facets, chosen as above.  A cell's key is its negative support and its
+chosen atoms, and one evaluator (_least) is the only place where a key
+becomes an index.  It takes keys in position order and builds their
+complexes a batch at a time, as bitmaps over all 2^r vertex sets.  It takes
+homology once per distinct complex in a batch, key by key, and stops at the
+first key that reaches the floor below, so no later batch is built.  Its
+answer is the key of least (index, position).
 
 Every cell's index is at least a proven floor: 0 on the generator route,
 and 1 on the facet route, since a bipartite g has no embedded primes and
 the maximal ideal is not associated.  A caller may pass hint cells, which
-go through the same keying, bitmaps and homology cache as any other cell.
+are grouped into keys and evaluated like any other cells.
 A hint that reaches the floor proves the depth and becomes the witness;
 nothing else is then looked at.  The vertex cap
 (graphs.MAX_VERTICES_DEFAULT), checked before any 2^r array is built,
@@ -44,17 +48,18 @@ Without a hit, the witness is the cell of least (index, position in the
 box), as over the whole box, found in one of two ways:
 
 - The generator route scans the box in order, in chunks of cells, up to
-  the first chunk that reaches the floor.  A box of more than
-  MAX_BOX_DEFAULT cells is refused (the box cap).
+  the first chunk that reaches the floor.  Each chunk's cells are grouped
+  into keys, each key standing at its first cell, and evaluated.  A box of
+  more than MAX_BOX_DEFAULT cells is refused (the box cap).
 - The facet route walks the box one coordinate at a time (_walk).  Cells
   whose partial keys agree are merged into one state at each step: the
   negative support so far and each facet's weight outside it, capped at n.
   So the work follows the number of states, not (n + 1)^r, and C8 at
   n = 4 has 6,437 states over its layers against 390,625 cells.  Each
   state keeps the least box prefix that reaches it, so the final keys come
-  in order of their least cell, and homology is taken key by key up to the
-  first key at the floor.  A layer whose candidate states would take more
-  than MAX_STATE_BYTES is refused (the state cap); there is no box cap.
+  in order of their least cell and are evaluated in that order.  A layer
+  whose candidate states would take more than MAX_STATE_BYTES is refused
+  (the state cap); there is no box cap.
 
 So a witness is the least box cell unless hint_hit is set.
 
@@ -201,7 +206,8 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
     return from_facets(range(1, g.r + 1), facets)
 
 
-# Bound on a chunk's cell count times the array entries each cell takes.
+# Bound on a chunk's cell count, or a batch's key count, times the array
+# entries each cell or key takes.
 _CHUNK_BUDGET = 1 << 22
 _NO_VALUE = 1 << 32  # above every cohomological index
 
@@ -218,7 +224,7 @@ def _vertex_axes(faces: np.ndarray, r: int):
 def _face_bitmaps(
     neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, avoid: bool
 ) -> np.ndarray:
-    """(k, 2^r) face indicators of the cells' complexes.  The chosen atoms,
+    """(k, 2^r) face indicators of the keys' complexes.  The chosen atoms,
     cut to the nonnegative support, are closed downward; with avoid the
     complex is instead the subsets of the nonnegative support that contain
     no chosen atom."""
@@ -247,102 +253,116 @@ def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
     return min_nonvanishing_reduced_homology(cx, field=field)
 
 
-def _rows_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the distinct rows of a 2-d uint8 array, the index of each one's
-    first occurrence, and for each row, the position of its distinct row."""
-    rows = np.ascontiguousarray(rows)
-    flat = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    return first, inverse
+def _least(
+    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, avoid: bool,
+    field: FieldChoice, floor: int,
+) -> tuple[int, int, int]:
+    """(value, position, homology dim) of the key of least (value, position)
+    among the keys (neg[i], chosen[i]), given in position order; a key's
+    value is |neg| + 1 plus the least degree of nonzero reduced homology of
+    its complex (_face_bitmaps), and _NO_VALUE when no key has any.  The
+    complexes are built in batches of at most _CHUNK_BUDGET array entries,
+    and homology is taken once per distinct complex in a batch, key by key,
+    up to the first key that reaches the floor: none lies below it."""
+    counts = ((neg[:, None] >> np.arange(r)) & 1).sum(axis=1)
+    best = (_NO_VALUE, 0, 0)
+    batch = max(1, _CHUNK_BUDGET // (len(atoms) + (1 << r)))
+    for off in range(0, len(neg), batch):
+        faces = _face_bitmaps(neg[off:off + batch], chosen[off:off + batch], atoms, r, avoid)
+        found: dict[bytes, tuple[Optional[int], int]] = {}
+        for i, row in enumerate(np.packbits(faces, axis=1, bitorder="little"), off):
+            key = row.tobytes().rstrip(b"\0")
+            if key not in found:
+                found[key] = _homology(key, field)
+            d, h = found[key]
+            if d is not None and counts[i] + 1 + d < best[0]:  # an earlier key wins a tie
+                best = (int(counts[i]) + 1 + d, i, h)
+                if best[0] <= floor:
+                    return best
+    return best
 
 
-def _scan(
-    sizes: Sequence[int],
-    atoms: np.ndarray,
-    chosen_of,
-    avoid: bool,
-    field: FieldChoice,
-    floor: int,
-    hints: Sequence[Sequence[int]],
-    search,
-) -> DepthCertificate:
-    """The least cohomological index over the alpha box, coordinate j
-    ranging over -1 .. sizes[j] - 2, with a witness cell.
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, ascending."""
+    order = np.lexsort(words.T)
+    words = words[order]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return np.sort(order[new])
 
-    A cell's complex is fixed by its negative support and by which atoms
-    chosen_of(alpha) picks (a boolean row per cell), and is built by
-    _face_bitmaps.
 
-    floor is a proven lower bound on the depth.  The hint cells inside the
-    box are tried first, as alpha rows; when one of them reaches the floor
-    it is the witness and nothing else is looked at.  Otherwise
-    search(least) finds the cell of least (cohomological index, position in
-    the box) and the cells or states it looked at, where least(alpha) is
-    that cell among the rows of alpha.  A search may stop at the first cell
-    that reaches the floor: no cell lies below it.
-    """
-    r = len(sizes)
-    bits = 1 << np.arange(r, dtype=np.int64)
+def _least_cell(
+    alpha: np.ndarray, atoms: np.ndarray, chosen_of, avoid: bool, field: FieldChoice, floor: int
+) -> tuple[int, tuple[int, ...], int]:
+    """(value, alpha row, homology dim) of the row of least (value, position)
+    among the rows of alpha, of which there is at least one.  A cell's key
+    is its negative support and the atoms chosen_of(alpha) picks for it (a
+    boolean row per cell); each key stands at its first cell, and the keys
+    go to _least in that order."""
+    r = alpha.shape[1]
+    neg = (alpha < 0) @ (1 << np.arange(r, dtype=np.int64))
+    chosen = chosen_of(alpha)
+    first = _first_rows(np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)]))
+    value, i, hdim = _least(neg[first], chosen[first], atoms, r, avoid, field, floor)
+    return value, tuple(int(e) for e in alpha[first[i]]), hdim
 
-    def least(alpha: np.ndarray) -> tuple[int, tuple[int, ...], int]:
-        """(value, alpha row, homology dim) of the row of least (value,
-        position in alpha)."""
-        neg = (alpha < 0) @ bits
-        chosen = chosen_of(alpha)
-        keys = np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)])
-        first, _ = _rows_unique(keys)
-        faces = _face_bitmaps(neg[first], chosen[first], atoms, r, avoid)
-        packed = np.packbits(faces, axis=1, bitorder="little")
-        rep, inverse = _rows_unique(packed)
-        found = [_homology(packed[i].tobytes().rstrip(b"\0"), field) for i in rep]
-        mind = np.array([_NO_VALUE if d is None else d for d, _ in found])[inverse]
-        hdims = np.array([h for _, h in found])[inverse]
-        values = (alpha[first] < 0).sum(axis=1) + 1 + mind
-        j = np.lexsort((first, values))[0]
-        return int(values[j]), tuple(int(e) for e in alpha[first[j]]), int(hdims[j])
 
-    def certificate(best: tuple[int, tuple[int, ...], int], scanned: int, hit: bool) -> DepthCertificate:
-        value, cell, hdim = best
-        if value == _NO_VALUE:
-            raise InternalError("depth scan found no nonvanishing local cohomology")
-        if value < floor:
-            raise InternalError(f"depth scan found index {value} below the floor {floor}")
-        return DepthCertificate(
-            depth=value,
-            witness_alpha=cell,
-            homology_dim=hdim,
-            scan_box=tuple(int(s) for s in sizes),
-            cells_scanned=scanned,
-            hint_hit=hit,
-        )
-
+def _hint_scan(
+    sizes: Sequence[int], hints: Sequence[Sequence[int]], atoms: np.ndarray, chosen_of,
+    avoid: bool, field: FieldChoice, floor: int,
+) -> tuple[tuple[int, tuple[int, ...], int], int]:
+    """_least_cell's best among the hint cells inside the box, coordinate j
+    ranging over -1 .. sizes[j] - 2, and how many those are.  A hint outside
+    the box is dropped."""
     inside = [
         h for h in hints
-        if len(h) == r and all(-1 <= a <= s - 2 for a, s in zip(h, sizes))
+        if len(h) == len(sizes) and all(-1 <= a <= s - 2 for a, s in zip(h, sizes))
     ]
-    if inside:
-        best = least(np.array(inside, dtype=np.int16))
-        if best[0] <= floor:
-            return certificate(best, len(inside), True)
-    best, scanned = search(least)
-    return certificate(best, len(inside) + scanned, False)
+    if not inside:
+        return (_NO_VALUE, (), 0), 0
+    alpha = np.array(inside, dtype=np.int16)
+    return _least_cell(alpha, atoms, chosen_of, avoid, field, floor), len(inside)
 
 
-def _box_search(sizes: Sequence[int], width: int, floor: int, least):
-    """The box in chunks of cells, in order, up to the first chunk that
-    reaches the floor; width is the per-cell entry count of the largest
-    array a chunk takes.  Returns least's best and the cells scanned."""
+def _certificate(
+    sizes: Sequence[int], floor: int, best: tuple[int, tuple[int, ...], int], scanned: int, hit: bool
+) -> DepthCertificate:
+    """The certificate of a scan whose least cell is best (value, cell,
+    homology dim); scanned and hit are its cells_scanned and hint_hit."""
+    value, cell, hdim = best
+    if value == _NO_VALUE:
+        raise InternalError("depth scan found no nonvanishing local cohomology")
+    if value < floor:
+        raise InternalError(f"depth scan found index {value} below the floor {floor}")
+    return DepthCertificate(
+        depth=value,
+        witness_alpha=cell,
+        homology_dim=hdim,
+        scan_box=tuple(int(s) for s in sizes),
+        cells_scanned=scanned,
+        hint_hit=hit,
+    )
+
+
+def _box_search(
+    sizes: Sequence[int], width: int, atoms: np.ndarray, chosen_of, field: FieldChoice, floor: int
+) -> tuple[tuple[int, tuple[int, ...], int], int]:
+    """The generator route's search: the box in chunks of cells, in order,
+    up to the first chunk that reaches the floor; width is the per-cell
+    entry count of the largest array a chunk takes.  Returns the best
+    (value, cell, homology dim) and the cells scanned."""
     n_cells = math.prod(sizes)
     if n_cells > MAX_BOX_DEFAULT:
         raise TooLargeError(f"depth box has {n_cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
     radix = np.array(sizes, dtype=np.int64)
     weights = np.cumprod(radix[::-1])[::-1] // radix
     chunk = max(1, _CHUNK_BUDGET // width)
-    best, scanned = (_NO_VALUE, None, 0), 0
+    best, scanned = (_NO_VALUE, (), 0), 0
     for off in range(0, n_cells, chunk):
         cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
         scanned += len(cells)
-        found = least(((cells[:, None] // weights) % radix - 1).astype(np.int16))
+        alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
+        found = _least_cell(alpha, atoms, chosen_of, True, field, floor)
         if found[0] < best[0]:  # an earlier chunk wins a tie
             best = found
         if best[0] <= floor:
@@ -372,20 +392,11 @@ def _pack(neg: np.ndarray, fields: np.ndarray, slots: list[tuple[int, int]], k: 
     return words
 
 
-def _first_rows(words: np.ndarray) -> np.ndarray:
-    """The index of each distinct row's first occurrence, ascending."""
-    order = np.lexsort(words.T)
-    words = words[order]
-    new = np.ones(len(words), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    return np.sort(order[new])
-
-
 def _walk(
     outside: np.ndarray, n: int, atoms: np.ndarray, field: FieldChoice, floor: int
 ):
-    """The facet route's search (see _scan): the box (n + 1)^r one
-    coordinate at a time over merged states.
+    """The facet route's search: the box (n + 1)^r one coordinate at a
+    time over merged states.
 
     After coordinates 1..j a cell's state is its negative support so far
     and each facet's weight outside it, capped at n; a negative coordinate
@@ -397,14 +408,13 @@ def _walk(
     kept.  By induction each state is then kept in the order of, and with
     back-pointers to, the least box prefix that reaches it, so the final
     keys come in order of their least cell, and the least cell of a key
-    reaches it through its back-pointers.  Homology is then taken key by
-    key in that order up to the first key at the floor (_least_key), so
-    none is taken that the chunked scan of the same box would not take.
+    reaches it through its back-pointers.  The final keys go to _least in
+    that order.
 
-    outside[f, j] says vertex j + 1 is outside facet f.  Returns _scan's
-    best and the live states summed over the layers.  A layer whose
-    candidates' packed keys would take more than MAX_STATE_BYTES raises
-    TooLargeError."""
+    outside[f, j] says vertex j + 1 is outside facet f.  Returns the best
+    (value, cell, homology dim) and the live states summed over the layers.
+    A layer whose candidates' packed keys would take more than
+    MAX_STATE_BYTES raises TooLargeError."""
     n_facets, r = outside.shape
     wtype = np.min_scalar_type(2 * n)  # holds a weight plus an addend
     outside = outside.astype(wtype)
@@ -431,31 +441,11 @@ def _walk(
         parent, digit = np.divmod(first, n + 1)
         weights = np.minimum(weights[parent] + np.array(adds, dtype=wtype)[digit, None] * outside[:, j], n)
         neg = neg[parent] | ((digit == 0).astype(np.uint64) << np.uint64(j))
-    value, i, hdim = _least_key(neg.astype(np.int64), weights < n, atoms, r, field, floor)
+    value, i, hdim = _least(neg.astype(np.int64), weights < n, atoms, r, False, field, floor)
     cell = np.zeros(r, dtype=np.int16)
     for j in range(r - 1, -1, -1):
         i, cell[j] = divmod(int(layers[j][i]), n + 1)
     return (value, tuple(int(e) - 1 for e in cell), hdim), sum(len(first) for first in layers)
-
-
-def _least_key(
-    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, field: FieldChoice, floor: int
-) -> tuple[int, int, int]:
-    """(value, key, homology dim) of the key of least (value, position) among
-    the facet route's keys (neg, chosen), up to the first key at the floor.
-    The complexes are built in batches, their homology taken key by key."""
-    counts = ((neg[:, None] >> np.arange(r)) & 1).sum(axis=1)
-    best = (_NO_VALUE, 0, 0)
-    batch = max(1, _CHUNK_BUDGET // (len(atoms) + (1 << r)))
-    for off in range(0, len(neg), batch):
-        faces = _face_bitmaps(neg[off:off + batch], chosen[off:off + batch], atoms, r, False)
-        for i, row in enumerate(np.packbits(faces, axis=1, bitorder="little"), off):
-            d, h = _homology(row.tobytes().rstrip(b"\0"), field)
-            if d is not None and counts[i] + 1 + d < best[0]:
-                best = (int(counts[i]) + 1 + d, i, h)
-                if best[0] <= floor:
-                    return best
-    return best
 
 
 def depth_bruteforce(ideal: MonomialIdeal, field: FieldChoice = QQ) -> DepthCertificate:
@@ -491,11 +481,13 @@ def _ideal_scan(
         return chosen
 
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
+    atoms = np.arange(1 << r)
+    best, tried = _hint_scan(sizes, hints, atoms, violations, True, field, floor)
+    if best[0] <= floor:
+        return _certificate(sizes, floor, best, tried, True)
     width = len(gens) + (2 << r)  # violation masks, chosen sets, face bitmaps
-    return _scan(
-        sizes, np.arange(1 << r), violations, True, field, floor, hints,
-        lambda least: _box_search(sizes, width, floor, least),
-    )
+    best, scanned = _box_search(sizes, width, atoms, violations, field, floor)
+    return _certificate(sizes, floor, best, tried + scanned, False)
 
 
 def depth_power(
@@ -504,7 +496,7 @@ def depth_power(
     field: FieldChoice = QQ,
     hints: Sequence[Sequence[int]] = (),
 ) -> DepthCertificate:
-    """depth R/I(g)^n; hints are cells to try first (see _scan).
+    """depth R/I(g)^n; hints are cells to try first (see _hint_scan).
 
     For bipartite g the atoms are the facets of the independence complex,
     and a cell chooses those that contain G_a and have alpha-weight at most
@@ -536,11 +528,12 @@ def _power_scan(
         # a negative coordinate outside a facet outweighs n - 1 on its own
         return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
 
-    floor = max(floor, 1)
-    return _scan(
-        [n + 1] * g.r, atoms, chosen_facets, False, field, floor, hints,
-        lambda least: _walk(outside, n, atoms, field, floor),
-    )
+    sizes, floor = [n + 1] * g.r, max(floor, 1)
+    best, tried = _hint_scan(sizes, hints, atoms, chosen_facets, False, field, floor)
+    if best[0] <= floor:
+        return _certificate(sizes, floor, best, tried, True)
+    best, states = _walk(outside, n, atoms, field, floor)
+    return _certificate(sizes, floor, best, tried + states, False)
 
 
 def split_certificates(

@@ -7,6 +7,7 @@ rejected up front).
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,13 +74,16 @@ def build_graph(edges: Iterable[tuple[int, int]], r: Optional[int] = None) -> Gr
         r = max_label
     elif max_label > r:
         raise BadLabelError(f"edge label {max_label} exceeds declared r={r}")
+    seen = {w for e in edge_list for w in e}
+    if len(seen) < r:  # before any per-vertex allocation, which r could make huge
+        first = list(itertools.islice((v for v in range(1, r + 1) if v not in seen), 5))
+        raise IsolatedVertexError(
+            f"isolated vertices not allowed: {r - len(seen)} of {r}, the first {first}"
+        )
     nbrs: list[set[int]] = [set() for _ in range(r)]
     for u, v in edge_list:
         nbrs[u - 1].add(v)
         nbrs[v - 1].add(u)
-    isolated = [v for v in range(1, r + 1) if not nbrs[v - 1]]
-    if isolated:
-        raise IsolatedVertexError(f"isolated vertices not allowed: {isolated}")
     return Graph(r=r, adj=tuple(tuple(sorted(s)) for s in nbrs))
 
 

@@ -142,6 +142,13 @@ def test_ass_auto_falls_back_to_bruteforce(graph_file, capsys):
     assert payload["bruteforce"] == [[1, 3], [2, 4]]
 
 
+def test_ass_auto_keeps_the_level_cap(graph_file, capsys):
+    # only a graph outside the formula's class falls back to brute force
+    path = graph_file("c3.txt", C3_TEXT)
+    code, out, err = run(capsys, ["ass", path, "--power", "8"])
+    assert code == 3 and "the level cap" in err and out == ""
+
+
 def test_homology_command(capsys):
     code, out, _ = run(
         capsys,
@@ -396,6 +403,15 @@ def test_max_r_reaches_the_scan(graph_file, capsys):
     assert json.loads(out)["depths"] == [4]  # ceil(11 / 3)
     code, _, err = run(capsys, ["depth-seq", path, "--max-power", "1"])
     assert code == 3 and "cap is 10" in err
+
+
+def test_max_r_below_one_is_an_input_error(graph_file, capsys):
+    path = graph_file("c3.txt", C3_TEXT)
+    for value in ("0", "-1"):
+        code, _, err = run(capsys, ["--max-r", value, "analyze", path])
+        assert code == 2 and "--max-r" in err and "cap is" not in err
+    code, _, err = run(capsys, ["--max-r", "2", "analyze", path])
+    assert code == 3 and "cap is 2 (--max-r)" in err
 
 
 def test_dstab_field(graph_file, capsys, monkeypatch):

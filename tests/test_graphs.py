@@ -60,6 +60,14 @@ def test_isolated_vertex_rejected():
         build_graph([(1, 2)], r=3)
 
 
+def test_huge_isolated_label_is_refused_briefly():
+    with pytest.raises(IsolatedVertexError) as info:
+        build_graph([(1, 2), (2, 10**6)])
+    message = str(info.value)
+    assert len(message) < 1024
+    assert "999997 of 1000000" in message and "[3, 4, 5, 6, 7]" in message
+
+
 def test_bad_labels_rejected():
     with pytest.raises(BadLabelError):
         build_graph([(0, 1)])

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
 module in src/ takes an underscore name from another, every size cap
-names itself when it refuses, and every memo in src/ is bounded."""
+names itself when it refuses, every memo in src/ is bounded, and every
+parameter in src/ is read."""
 from __future__ import annotations
 
 import ast
@@ -223,3 +224,45 @@ def test_memos_are_bounded():
             if problem is not None:
                 bad.append(f"{path.relative_to(ROOT)} line {line}: {problem}")
     assert bad == [] and count >= 5
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Every parameter of a def or lambda that its body never reads, as
+    "line N: function(parameter)"; a nested function's read counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        name = getattr(node, "name", "lambda")
+        found += [(p.lineno, f"{name}({p.arg})") for p in params if p.arg not in read]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_unread_parameters_detected():
+    src = (
+        "def f(a, b, *args, c=1, **kw):\n    return a + len(kw)\n"
+        "search = lambda least: walk(floor)\n"
+        "def outer(x, y=lambda z: z):\n    def inner():\n        return x\n    return inner, y\n"
+    )
+    assert unread_parameters(src) == [
+        "line 1: f(args)", "line 1: f(b)", "line 1: f(c)", "line 3: lambda(least)",
+    ]
+
+
+def test_every_parameter_is_read():
+    bad, count = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        count += sum(isinstance(n, ast.FunctionDef) for n in ast.walk(ast.parse(source)))
+        for problem in unread_parameters(source):
+            bad.append(f"{path.relative_to(ROOT)} {problem}")
+    assert bad == [] and count >= 50
