@@ -26,22 +26,16 @@ from .errors import (
 from .graphs import (
     Graph,
     build_graph,
+    component_bound,
+    component_k,
     cycle_profile,
     decompose,
     induced_subgraph,
     is_unicyclic,
-    leaf_edges,
     minimal_vertex_covers,
     simple_cycles,
 )
-from .monomials import (
-    Monomial,
-    colon,
-    contains,
-    edge_ideal,
-    maximal_ideal,
-    power,
-)
+from .monomials import Monomial, contains, edge_ideal, power
 
 MAX_LEVEL_MARGIN = 4
 
@@ -60,8 +54,7 @@ def _validate_unicyclic_nonbipartite(g: Graph) -> tuple[tuple[int, ...], int]:
         raise NotUnicyclicNonbipartiteError(
             "operation needs a connected unicyclic graph with an odd cycle"
         )
-    cycle = cycle_profile(g).unique_cycle
-    return cycle, (len(cycle) + 1) // 2
+    return cycle_profile(g).unique_cycle, component_k(g)
 
 
 def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...]:
@@ -158,11 +151,11 @@ def ass_formula(
 
 
 def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
-    """n = v - e0 - k + 1 and the least d of a level-n state whose R + B is
-    every vertex, for connected unicyclic nonbipartite g; unchecked (see
+    """n = component_bound(g) and the least d of a level-n state whose R + B
+    is every vertex, for connected unicyclic nonbipartite g; unchecked (see
     witness_monomial)."""
-    _, k = _validate_unicyclic_nonbipartite(g)
-    n = g.r - leaf_edges(g) - k + 1
+    _validate_unicyclic_nonbipartite(g)
+    n = component_bound(g)
     full = set(g.vertices)
     candidates = [
         s.d
@@ -178,19 +171,26 @@ def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
 
 def witness_monomial(g: Graph) -> tuple[int, Monomial]:
     """A monomial f of degree 2n - 1 with (I(g)^n : f) the maximal ideal,
-    at n = v - e0 - k + 1; certifies depth R/I(g)^n = 0."""
+    at n = component_bound(g); certifies depth R/I(g)^n = 0."""
     n, f = full_cover_monomial(g)
+    _check_depth_zero(g, n, f)
+    return n, f
+
+
+def _check_depth_zero(g: Graph, n: int, f: Monomial) -> None:
+    """Raise WitnessCheckFailedError unless (I(g)^n : f) is the maximal
+    ideal, that is, unless f lies outside I(g)^n and x_i f inside it for
+    every i."""
     ideal_n = power(edge_ideal(g), n)
     if contains(ideal_n, f):
-        raise WitnessCheckFailedError(f"witness lies in the power: {f}")
+        raise WitnessCheckFailedError(f"witness lies in the power at n={n}: {f}")
     for i in range(g.r):
         bumped = list(f)
         bumped[i] += 1
         if not contains(ideal_n, tuple(bumped)):
             raise WitnessCheckFailedError(
-                f"witness times x{i + 1} escapes the power: {f}"
+                f"witness times x{i + 1} escapes the power at n={n}: {f}"
             )
-    return n, f
 
 
 def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -245,9 +245,5 @@ def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:
     cycle; the witness for H works in g because I(H) is inside I(g).
     """
     n, f = spanning_unicyclic_monomial(g)
-    quotient = colon(power(edge_ideal(g), n), f)
-    if quotient != maximal_ideal(g.r):
-        raise WitnessCheckFailedError(
-            f"colon by {f} at n={n} is {quotient}, not the maximal ideal"
-        )
+    _check_depth_zero(g, n, f)
     return n, f

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input/parse error, 3 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -115,7 +116,7 @@ def cmd_dstab(args) -> int:
     formula_report = None
     if args.method in ("formula", "both"):
         formula_report = stability.dstab_formula(g, field=args.field)
-        payload["formula"] = formula_report.to_json()
+        payload["formula"] = dataclasses.asdict(formula_report)
     if args.method in ("oracle", "both"):
         oracle = stability.dstab_oracle(g, field=args.field, trace=args.trace)
         payload["oracle"] = oracle
@@ -271,10 +272,7 @@ def main(argv=None) -> int:
         if args.max_r < 1:
             raise ParseError(f"--max-r must be at least 1, got {args.max_r}")
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, GraphError, ValueError) as exc:
+    except (OSError, ParseError, GraphError, ValueError) as exc:  # OSError: graph file unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except TooLargeError as exc:

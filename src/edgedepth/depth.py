@@ -148,16 +148,6 @@ class DepthCertificate:
     cells_scanned: int = dc_field(compare=False)
     hint_hit: bool = dc_field(compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "witness_alpha": list(self.witness_alpha),
-            "homology_dim": self.homology_dim,
-            "scan_box": list(self.scan_box),
-            "cells_scanned": self.cells_scanned,
-            "hint_hit": self.hint_hit,
-        }
-
 
 def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialComplex:
     """The complex D_a(I) by direct enumeration of the face candidates."""

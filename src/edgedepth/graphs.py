@@ -271,6 +271,23 @@ def cycle_profile(g: Graph) -> CycleProfile:
     )
 
 
+def component_k(g: Graph) -> int:
+    """k of a connected graph: half its longest odd cycle rounded up, or,
+    when it has none (it is bipartite), half its longest even cycle; 1 for
+    a tree."""
+    prof = cycle_profile(g)
+    if prof.max_odd_len is not None:
+        return (prof.max_odd_len + 1) // 2
+    return (prof.max_even_len or 2) // 2
+
+
+def component_bound(g: Graph) -> int:
+    """The paper's bound term v - e0 - k + 1 of a connected graph (e0 leaf
+    edges, k = component_k): its dstab is at most this, with equality for
+    a tree and for a unicyclic graph without a 4-cycle."""
+    return g.r - leaf_edges(g) - component_k(g) + 1
+
+
 def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.num_edges == g.r - 1
 
@@ -326,21 +343,18 @@ def minimal_vertex_covers(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(covers)
 
 
-def distance_to_cycle(g: Graph, v: int, cycle: Iterable[int]) -> int:
-    cyc = set(cycle)
-    if v in cyc:
-        return 0
-    dist = {v: 0}
-    queue = deque([v])
+def distances_from(g: Graph, sources: Iterable[int]) -> dict[int, int]:
+    """Distance from the nearest source to each vertex a source reaches, by
+    one breadth-first search from all sources at once."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         a = queue.popleft()
         for b in g.neighbors(a):
             if b not in dist:
                 dist[b] = dist[a] + 1
-                if b in cyc:
-                    return dist[b]
                 queue.append(b)
-    raise DisconnectedError(f"vertex {v} cannot reach the cycle")
+    return dist
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -44,10 +44,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def monomial_str(m: Monomial) -> str:
     parts = []
     for i, e in enumerate(m, start=1):
@@ -119,12 +115,6 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 def contains(ideal: MonomialIdeal, m: Sequence[int]) -> bool:
     mt = tuple(m)
     return any(monomial_divides(g, mt) for g in ideal.gens)
-
-
-def add(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.r != b.r:
-        raise ValueError("ambient ring mismatch")
-    return minimalize(a.r, a.gens + b.gens)
 
 
 def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

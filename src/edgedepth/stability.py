@@ -1,18 +1,19 @@
 """Index of depth stability of powers of edge ideals.
 
 dstab(I(G)) is the least n0 with depth R/I(G)^n constant for n >= n0; the
-limit depth is the number of bipartite connected components.  Closed forms:
+limit depth is the number of bipartite connected components.  With b the
+bound term of a connected graph (graphs.component_bound), the closed forms:
 
-  * tree on v vertices with e0 leaf edges: v - e0;
-  * unicyclic, cycle length 2k-1 or 2k with k >= 3: v - e0 - k + 1;
-  * unicyclic with a 4-cycle: 1 for the 4-cycle itself, v - e0 - 2 when
-    the cycle has two adjacent vertices of degree 2, else v - e0 - 1;
+  * tree, or unicyclic without a 4-cycle: b;
+  * unicyclic with a 4-cycle: 1 for the 4-cycle itself, b - 1 when the
+    cycle has two adjacent vertices of degree 2, else b;
   * disjoint unions: sum of the component values minus (number of
     components) plus 1.
 
-Every graph obeys the bound dstab <= v - e0 - sum(k_i) + 1 where 2k_i is
-the largest even cycle length of a bipartite component (k_i = 1 for trees)
-and 2k_i - 1 the largest odd cycle length of a nonbipartite one.
+Every graph obeys the bound dstab <= v - e0 - sum(k_i) + 1, the union rule
+applied to the components' b (mt_bound), where 2k_i is the largest even
+cycle length of a bipartite component (k_i = 1 for trees) and 2k_i - 1 the
+largest odd cycle length of a nonbipartite one (graphs.component_k).
 """
 from __future__ import annotations
 
@@ -40,9 +41,11 @@ from .errors import (
 from .graphs import (
     Graph,
     bipartition,
+    component_bound,
+    component_k,
     cycle_profile,
     decompose,
-    distance_to_cycle,
+    distances_from,
     induced_subgraph,
     is_tree,
     is_unicyclic,
@@ -58,37 +61,17 @@ def depth_limit(g: Graph) -> int:
     return decompose(g).s
 
 
-def _component_k(comp_graph: Graph) -> int:
-    """k of a connected graph: half its longest odd cycle rounded up, or,
-    when it has none (it is bipartite), half its longest even cycle."""
-    prof = cycle_profile(comp_graph)
-    if prof.max_odd_len is not None:
-        return (prof.max_odd_len + 1) // 2
-    if prof.max_even_len is None:
-        return 1  # tree
-    return prof.max_even_len // 2
-
-
 def mt_bound(g: Graph) -> int:
-    """Global upper bound v - e0 - sum(k_i) + 1 for dstab."""
-    ks = sum(_component_k(induced_subgraph(g, comp)[0]) for comp in decompose(g).components)
-    return g.r - leaf_edges(g) - ks + 1
+    """Global upper bound v - e0 - sum(k_i) + 1 for dstab: the components'
+    bound terms composed as a disjoint union."""
+    terms = [component_bound(induced_subgraph(g, comp)[0]) for comp in decompose(g).components]
+    return sum(terms) - len(terms) + 1
 
 
 def dstab_tree(g: Graph) -> int:
     if not is_tree(g):
         raise NotTreeError("graph is not a connected acyclic graph")
-    return g.r - leaf_edges(g)
-
-
-def _four_cycle_adjacent_deg2(g: Graph, cycle: tuple[int, ...]) -> bool:
-    cyc = list(cycle)
-    m = len(cyc)
-    for i in range(m):
-        u, v = cyc[i], cyc[(i + 1) % m]
-        if g.degree(u) == 2 and g.degree(v) == 2:
-            return True
-    return False
+    return component_bound(g)
 
 
 @dataclass(frozen=True)
@@ -106,22 +89,17 @@ def dstab_unicyclic(g: Graph) -> UnicyclicDstab:
     """
     if not is_unicyclic(g):
         raise NotUnicyclicError("graph is not connected with exactly one cycle")
-    prof = cycle_profile(g)
-    cycle = prof.unique_cycle
-    length = len(cycle)
-    v, e0 = g.r, leaf_edges(g)
-    if length % 2 == 1:
-        k = (length + 1) // 2
-        return UnicyclicDstab(v - e0 - k + 1, "odd-cycle")
-    k = length // 2
-    if k >= 3:
-        return UnicyclicDstab(v - e0 - k + 1, "even-cycle")
-    # 4-cycle cases
+    cycle = cycle_profile(g).unique_cycle
+    bound = component_bound(g)
+    if len(cycle) % 2 == 1:
+        return UnicyclicDstab(bound, "odd-cycle")
+    if len(cycle) > 4:
+        return UnicyclicDstab(bound, "even-cycle")
     if g.r == 4:
         return UnicyclicDstab(1, "four-cycle-pure")
-    if _four_cycle_adjacent_deg2(g, cycle):
-        return UnicyclicDstab(v - e0 - 2, "four-cycle-adjacent-deg2")
-    return UnicyclicDstab(v - e0 - 1, "four-cycle-remark")
+    if any(g.degree(u) == 2 == g.degree(v) for u, v in zip(cycle, cycle[1:] + cycle[:1])):
+        return UnicyclicDstab(bound - 1, "four-cycle-adjacent-deg2")
+    return UnicyclicDstab(bound, "four-cycle-remark")
 
 
 @dataclass(frozen=True)
@@ -134,17 +112,6 @@ class ComponentReport:
     exact: bool
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "kind": self.kind,
-            "bipartite": self.bipartite,
-            "k": self.k,
-            "value": self.value,
-            "exact": self.exact,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class DstabReport:
@@ -155,72 +122,42 @@ class DstabReport:
     components: tuple[ComponentReport, ...]
     warnings: tuple[str, ...] = dc_field(default=())
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "exact": self.exact,
-            "mt_bound": self.mt_bound,
-            "limit_depth": self.limit_depth,
-            "components": [c.to_json() for c in self.components],
-            "warnings": list(self.warnings),
-        }
-
 
 def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
 
-    The 4-cycle remark branches are cross-validated against the depth
-    oracle over field; a mismatch, or a component too large for the
-    oracle, downgrades the report to exact=False instead of failing.
+    Each component's value is its bound term, or dstab_unicyclic's for a
+    unicyclic one.  The 4-cycle remark branches are cross-validated against
+    the depth oracle over field; a mismatch, or a component too large for
+    the oracle, downgrades the report to exact=False instead of failing.
     """
     dec = decompose(g)
     reports = []
     warnings: list[str] = []
     for comp, bipart in zip(dec.components, dec.bipartitions):
-        sub, labels = induced_subgraph(g, comp)
-        prof = cycle_profile(sub)
-        k = _component_k(sub)
-        if prof.kind == "tree":
-            reports.append(
-                ComponentReport(comp, "tree", True, 1, dstab_tree(sub), True, "tree")
-            )
-        elif prof.kind == "unicyclic":
+        sub, _ = induced_subgraph(g, comp)
+        kind = cycle_profile(sub).kind
+        value, note = component_bound(sub), "tree" if kind == "tree" else "component-bound"
+        if kind == "unicyclic":
             res = dstab_unicyclic(sub)
-            problem = ""
-            if res.note.startswith("four-cycle") and res.note != "four-cycle-pure":
-                try:
-                    oracle = dstab_oracle(sub, field=field)
-                    problem = "" if oracle == res.value else f"disagrees with oracle {oracle}"
-                except TooLargeError as exc:
-                    problem = f"unverified ({exc})"
+            value, note = res.value, res.note
+        exact = kind != "general"
+        if note.startswith("four-cycle") and note != "four-cycle-pure":
+            try:
+                oracle = dstab_oracle(sub, field=field)
+                problem = "" if oracle == value else f"disagrees with oracle {oracle}"
+            except TooLargeError as exc:
+                problem = f"unverified ({exc})"
             if problem:
-                warnings.append(
-                    f"component {comp}: four-cycle case value {res.value} {problem}"
-                )
-            reports.append(
-                ComponentReport(
-                    comp, "unicyclic", bipart is not None, k, res.value, not problem, res.note
-                )
-            )
-        else:
-            v, e0 = sub.r, leaf_edges(sub)
-            reports.append(
-                ComponentReport(
-                    comp,
-                    "general",
-                    bipart is not None,
-                    k,
-                    v - e0 - k + 1,
-                    False,
-                    "component-bound",
-                )
-            )
-    value = sum(rep.value for rep in reports) - len(reports) + 1
-    exact = all(rep.exact for rep in reports)
+                warnings.append(f"component {comp}: four-cycle case value {value} {problem}")
+                exact = False
+        reports.append(
+            ComponentReport(comp, kind, bipart is not None, component_k(sub), value, exact, note)
+        )
     return DstabReport(
-        value=value,
-        exact=exact,
+        value=sum(rep.value for rep in reports) - len(reports) + 1,
+        exact=all(rep.exact for rep in reports),
         mt_bound=mt_bound(g),
         limit_depth=dec.s,
         components=tuple(reports),
@@ -233,7 +170,7 @@ def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     the cell's index is the scan's floor, which is then the limit depth.
 
     A tree gets mu(g) at e - e0 + 1 and a bipartite unicyclic graph with a
-    cycle of length 2k >= 6 the peeled alpha at v - e0 - k + 1, both of
+    cycle of length at least 6 the peeled alpha at component_bound(g), both of
     index 1 (D = <X, Y>).  A nonbipartite g gets the exponent of a monomial
     f with (I^n : f) = m, of index 0 (D = {emptyset}): from the cover walk
     when g is unicyclic, else from a spanning unicyclic subgraph.  The scan
@@ -259,7 +196,7 @@ def _witness_stream(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
     cell (_witness_hints) tried first at its power.  No witness power is
     below g's k, so the cells are built at power k, and a graph whose depth
     settles earlier (K_r does at n = 2) never pays for the construction."""
-    k = _component_k(g)
+    k = component_k(g)
     hints: dict[int, list[tuple[int, ...]]] = {}
     for n in itertools.count(1):
         if n == k:
@@ -365,48 +302,37 @@ def _mu_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def _prop_alpha_unicyclic(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Witness multidegree for a connected bipartite unicyclic graph, built
-    by peeling maximum-distance leaves down to the cycle.
+    """Witness multidegree for a connected bipartite unicyclic graph: weight
+    1 on the cycle and 0 elsewhere, then the leaves are peeled down to the
+    cycle, the farthest first (least label on ties).
 
     Removing a leaf keeps the witness when its support vertex keeps other
     leaves or sits on the cycle; when the support vertex itself turns into
     a leaf, its weight and its remaining neighbor's weight go up by one.
+    A peeled vertex keeps the weight it has then, since no later step can
+    reach it.
     """
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
-    cyc = set(cycle)
-
-    def rec() -> dict[int, int]:
-        if len(adj) == len(cyc):
-            return {v: 1 for v in adj}
-        leaves = [v for v, nb in adj.items() if len(nb) == 1]
-        # a leaf's path to the cycle survives the peeling, so its distance
-        # in g is its distance in what is left
-        dist = {v: distance_to_cycle(g, v, cyc) for v in leaves}
-        dmax = max(dist.values())
-        v = min(w for w in leaves if dist[w] == dmax)
-        t = next(iter(adj[v]))
-        t_leaves = {w for w in adj[t] if len(adj[w]) == 1}
-        promote = dmax >= 2 and t_leaves == {v}
-        adj[t].discard(v)
-        del adj[v]
-        if promote:
-            w = next(iter(adj[t]))
-            a = rec()
-            a[t] += 1
-            a[w] += 1
-        else:
-            a = rec()
-        a[v] = 0
-        return a
-
-    weights = rec()
-    return tuple(weights[v] for v in g.vertices)
+    dist = distances_from(g, cycle)
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    weights = [int(dist[v] == 0) for v in g.vertices]
+    leaves = {v for v, nb in adj.items() if len(nb) == 1}
+    while leaves:
+        v = min(leaves, key=lambda w: (-dist[w], w))
+        leaves.remove(v)
+        (t,) = adj.pop(v)
+        adj[t].remove(v)
+        if len(adj[t]) == 1:  # so t is off the cycle and v was its only leaf
+            (w,) = adj[t]
+            weights[t - 1] += 1
+            weights[w - 1] += 1
+            leaves.add(t)
+    return tuple(weights)
 
 
 def unicyclic_bipartite_witness(g: Graph) -> WitnessAlpha:
-    """Witness alpha and n = v - e0 - k + 1 for a connected bipartite
-    unicyclic graph with cycle length 2k; verified against the definition
-    of the degree-alpha complex."""
+    """Witness alpha and n = component_bound(g) for a connected bipartite
+    unicyclic graph; verified against the definition of the degree-alpha
+    complex."""
     if not is_unicyclic(g):
         raise NotUnicyclicError("graph is not connected with exactly one cycle")
     dec = decompose(g)
@@ -417,8 +343,6 @@ def unicyclic_bipartite_witness(g: Graph) -> WitnessAlpha:
 
 
 def _unicyclic_bipartite_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """n = v - e0 - k + 1 and the peeled alpha for a connected bipartite
-    unicyclic g with cycle length 2k; unchecked (see
-    unicyclic_bipartite_witness)."""
-    cycle = cycle_profile(g).unique_cycle
-    return g.r - leaf_edges(g) - len(cycle) // 2 + 1, _prop_alpha_unicyclic(g, cycle)
+    """n = component_bound(g) and the peeled alpha for a connected bipartite
+    unicyclic g; unchecked (see unicyclic_bipartite_witness)."""
+    return component_bound(g), _prop_alpha_unicyclic(g, cycle_profile(g).unique_cycle)

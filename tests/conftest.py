@@ -6,7 +6,7 @@ import random
 from typing import Iterable, Sequence
 
 from edgedepth.graphs import Graph, build_graph, minimal_vertex_covers
-from edgedepth.monomials import MonomialIdeal, minimalize, monomial_lcm
+from edgedepth.monomials import Monomial, MonomialIdeal, minimalize
 from edgedepth.simplicial import SimplicialComplex
 
 # One line per acceptance criterion, echoed after the test summary.
@@ -127,6 +127,16 @@ def isomorphism_classes(graph_list: list[Graph]) -> list[Graph]:
             reps.append((invariant, ng, g))
             out.append(g)
     return out
+
+
+def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def add(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    if a.r != b.r:
+        raise ValueError("ambient ring mismatch")
+    return minimalize(a.r, a.gens + b.gens)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -14,6 +14,7 @@ import numpy as np
 
 import conftest
 from conftest import (
+    add,
     cycle_edges,
     intersect,
     isomorphism_classes,
@@ -39,7 +40,6 @@ from edgedepth.graphs import (
     minimal_vertex_covers,
 )
 from edgedepth.monomials import (
-    add,
     associated_primes_bruteforce,
     colon,
     contains,

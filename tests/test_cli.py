@@ -187,6 +187,12 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+def test_exit_code_unreadable_graph_path(tmp_path, capsys):
+    # a directory, not a chmod 000 file: root can read that file anyway
+    code, _, err = run(capsys, ["dstab", str(tmp_path)])
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_exit_code_isolated_vertex(graph_file, capsys):
     path = graph_file("iso.txt", "r=3\n1 2\n")
     code, _, _ = run(capsys, ["analyze", path])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -333,8 +334,8 @@ def test_scan_stops_at_floor_and_takes_hints_first():
         for n, want in ((3, c3), (4, full)):
             cert = depth_power(c7, n, hints=hints)
             assert cert == want and not cert.hint_hit
-    assert full.to_json()["cells_scanned"] == full.cells_scanned
-    assert hinted.to_json()["hint_hit"] is True
+    assert asdict(full)["cells_scanned"] == full.cells_scanned
+    assert asdict(hinted)["hint_hit"] is True
 
 
 def test_missed_hint_on_an_over_cap_box_is_walked():

@@ -24,7 +24,7 @@ from edgedepth.graphs import (
     build_graph,
     cycle_profile,
     decompose,
-    distance_to_cycle,
+    distances_from,
     induced_subgraph,
     is_tree,
     is_unicyclic,
@@ -177,8 +177,9 @@ def test_minimal_vertex_covers_are_complements():
 
 def test_distances():
     h = build_graph(cycle_edges(4) + [(1, 5), (5, 6)])
-    assert distance_to_cycle(h, 6, (1, 2, 3, 4)) == 2
-    assert distance_to_cycle(h, 2, (1, 2, 3, 4)) == 0
+    dist = distances_from(h, (1, 2, 3, 4))
+    assert dist[6] == 2
+    assert dist[2] == 0
 
 
 def test_induced_subgraph_relabels():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import (
+    add,
     complete_edges,
     cycle_edges,
     path_edges,
@@ -23,7 +24,6 @@ from edgedepth.monomials import (
     CACHE_ENTRIES,
     COLON_CHUNK_CELLS,
     MonomialIdeal,
-    add,
     associated_primes_bruteforce,
     colon,
     contains,

@@ -19,7 +19,7 @@ from edgedepth.errors import (
     NotUnicyclicError,
     TooLargeError,
 )
-from edgedepth.graphs import build_graph
+from edgedepth.graphs import build_graph, cycle_profile, distances_from
 from edgedepth.monomials import edge_ideal, power
 from edgedepth.stability import (
     depth_limit,
@@ -204,25 +204,57 @@ def test_unicyclic_bipartite_witness_cases():
 
 def test_unicyclic_bipartite_witness_random():
     rng = random.Random(71)
-    built = 0
-    while built < 8:
-        # random bipartite unicyclic graph: even cycle plus pendant trees
+    built = deep = 0
+    while built < 20:
+        # random bipartite unicyclic graph: even cycle plus pendant paths,
+        # some of length 3 or more, so that the peeling promotes a support
+        # vertex again and again at distance 2 or more from the cycle
         klen = rng.choice([4, 6])
         edges = cycle_edges(klen)
-        extra = rng.randint(0, 2)
         nxt = klen + 1
-        for _ in range(extra):
+        for _ in range(rng.randint(0, 3)):
             attach = rng.randint(1, nxt - 1)
-            edges.append((attach, nxt))
-            nxt += 1
+            for _ in range(rng.choice([1, 3, 4])):
+                edges.append((attach, nxt))
+                attach, nxt = nxt, nxt + 1
         g = build_graph(edges)
-        if g.r > 8:
+        if g.r > 10:
             continue
         built += 1
-        w = unicyclic_bipartite_witness(g)
+        deep += max(distances_from(g, range(1, klen + 1)).values()) >= 3
+        w = unicyclic_bipartite_witness(g)  # checked against takayama_complex
         assert w.n == g.r - sum(
             1 for u, v in g.edges if g.degree(u) == 1 or g.degree(v) == 1
         ) - klen // 2 + 1
+    assert deep >= 8
+
+
+def test_formula_attains_the_bound_on_trees_and_unicyclic_without_c4():
+    # the paper's equality dstab = v - e0 - sum(k_i) + 1 when every
+    # component is a tree or a unicyclic graph without a 4-cycle
+    rng = random.Random(79)
+    checked = unicyclic = 0
+    while checked < 100:
+        parts = [
+            random_connected_graph(rng, rng.randint(2, 7), max_extra=1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        cycles = [cycle_profile(p).unique_cycle for p in parts]
+        if any(c is not None and len(c) == 4 for c in cycles):
+            continue
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges]
+            offset += part.r
+        g = build_graph(edges)
+        e0 = sum(1 for u, v in g.edges if g.degree(u) == 1 or g.degree(v) == 1)
+        ks = sum(1 if c is None else (len(c) + 1) // 2 for c in cycles)
+        rep = dstab_formula(g)
+        assert rep.value == rep.mt_bound == mt_bound(g) == g.r - e0 - ks + 1
+        assert rep.exact and all(c.exact for c in rep.components)
+        checked += 1
+        unicyclic += any(c is not None for c in cycles)
+    assert unicyclic >= 30
 
 
 def test_oracle_equals_formula_on_exact_classes():
