@@ -26,7 +26,6 @@ from .stability import (
 from .assoc import (
     ass_formula,
     cover_states,
-    nonbipartite_depth_zero_bound,
     witness_monomial,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "unicyclic_bipartite_witness",
     "ass_formula",
     "cover_states",
-    "nonbipartite_depth_zero_bound",
     "witness_monomial",
 ]
 

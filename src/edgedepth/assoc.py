@@ -169,14 +169,6 @@ def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
     return n, min(candidates)
 
 
-def witness_monomial(g: Graph) -> tuple[int, Monomial]:
-    """A monomial f of degree 2n - 1 with (I(g)^n : f) the maximal ideal,
-    at n = component_bound(g); certifies depth R/I(g)^n = 0."""
-    n, f = full_cover_monomial(g)
-    _check_depth_zero(g, n, f)
-    return n, f
-
-
 def _check_depth_zero(g: Graph, n: int, f: Monomial) -> None:
     """Raise WitnessCheckFailedError unless (I(g)^n : f) is the maximal
     ideal, that is, unless f lies outside I(g)^n and x_i f inside it for
@@ -224,7 +216,7 @@ def _spanning_unicyclic_keeping(
 def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     """For connected nonbipartite g: the full_cover_monomial of a spanning
     unicyclic subgraph H that keeps a maximum odd cycle; unchecked (see
-    nonbipartite_depth_zero_bound)."""
+    witness_monomial)."""
     dec = decompose(g)
     if dec.p != 1 or dec.t != 1:
         raise NotNonbipartiteError(
@@ -237,12 +229,14 @@ def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle, cycles))
 
 
-def nonbipartite_depth_zero_bound(g: Graph) -> tuple[int, Monomial]:
+def witness_monomial(g: Graph) -> tuple[int, Monomial]:
     """For connected nonbipartite g: an n with depth R/I(g)^n = 0,
-    certified by (I(g)^n : f) = m for an explicit monomial f.
+    certified by (I(g)^n : f) = m for an explicit monomial f of degree
+    2n - 1.
 
     Built on a spanning unicyclic subgraph H that keeps a maximum odd
-    cycle; the witness for H works in g because I(H) is inside I(g).
+    cycle (g itself when g is unicyclic, and then n = component_bound(g));
+    the witness for H works in g because I(H) is inside I(g).
     """
     n, f = spanning_unicyclic_monomial(g)
     _check_depth_zero(g, n, f)

@@ -157,20 +157,16 @@ def cmd_ass(args) -> int:
     n = args.power
     if n < 1:
         raise ParseError("--power must be >= 1")
-    method = args.method
     payload: dict = {"power": n}
     formula_result = brute_result = None
-    if method == "auto":
+    if args.method != "bruteforce":
         try:
             formula_result = assoc.ass_formula(g, n, trace=args.trace)
-            method = "both"
-        except GraphError:  # g outside the formula's class; caps and faults still stop
-            method = "bruteforce"
-    elif method in ("formula", "both"):
-        formula_result = assoc.ass_formula(g, n, trace=args.trace)
-    if formula_result is not None:
-        payload["formula"] = [list(p) for p in formula_result]
-    if method in ("bruteforce", "both"):
+            payload["formula"] = [list(p) for p in formula_result]
+        except GraphError:  # auto: g outside the formula's class; caps and faults still stop
+            if args.method != "auto":
+                raise
+    if args.method != "formula":
         ideal = monomials.power(monomials.edge_ideal(g), n)
         brute_result = monomials.associated_primes_bruteforce(ideal)
         payload["bruteforce"] = [list(p) for p in brute_result]

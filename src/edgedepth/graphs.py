@@ -18,6 +18,7 @@ from .errors import (
     DisconnectedError,
     IsolatedVertexError,
     LoopEdgeError,
+    NotBipartiteError,
     ParseError,
     TooLargeError,
 )
@@ -147,35 +148,21 @@ class ComponentDecomposition:
 
 
 def decompose(g: Graph) -> ComponentDecomposition:
-    seen = [False] * (g.r + 1)
-    comps = []
-    biparts = []
-    for start in range(1, g.r + 1):
-        if seen[start]:
+    """A component is what one search reaches from its least unseen vertex.
+    It is bipartite when every edge joins vertices at distances of
+    different parity, and X is then its even side."""
+    comps, biparts, seen = [], [], set()
+    for start in g.vertices:
+        if start in seen:
             continue
-        color = {start: 0}
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        bipartite = True
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        comp.sort()
-        comps.append(tuple(comp))
-        if bipartite:
-            x = tuple(v for v in comp if color[v] == 0)
-            y = tuple(v for v in comp if color[v] == 1)
-            biparts.append((x, y))
-        else:
+        dist = distances_from(g, [start])
+        seen.update(dist)
+        comp = tuple(sorted(dist))
+        comps.append(comp)
+        if any((dist[v] - dist[w]) % 2 == 0 for v in comp for w in g.neighbors(v)):
             biparts.append(None)
+        else:
+            biparts.append(tuple(tuple(v for v in comp if dist[v] % 2 == side) for side in (0, 1)))
     return ComponentDecomposition(tuple(comps), tuple(biparts))
 
 
@@ -189,8 +176,6 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if dec.p != 1:
         raise DisconnectedError("bipartition requires a connected graph")
     if dec.bipartitions[0] is None:
-        from .errors import NotBipartiteError
-
         raise NotBipartiteError("graph has an odd cycle")
     return dec.bipartitions[0]
 

@@ -1,0 +1,85 @@
+"""Run the command line interface on seeded random graphs and print one JSON
+line per run: argv (the graph path replaced by the graph's name), exit code,
+stdout and stderr.
+
+    python tests/cli_sweep.py [--graphs 300] [--seed 1515] > sweep.jsonl
+
+The runs go through edgedepth.cli.main in this process, on the edgedepth
+under ../src.  They use only the command line, so a copy of this file in
+another checkout's tests/ runs that checkout unchanged, and `cmp` of the
+two outputs says whether both give the same answers.  Per graph: analyze,
+dstab, depth-seq --max-power 3, and ass at powers 1..3 under every
+--method.  The default run takes about 40 s on a 2-core machine.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from conftest import random_connected_graph, random_graph  # noqa: E402
+from edgedepth.cli import main  # noqa: E402
+
+COMMANDS = [["analyze"], ["dstab"], ["depth-seq", "--max-power", "3"]] + [
+    ["ass", "--power", str(n), "--method", method]
+    for n in (1, 2, 3)
+    for method in ("formula", "bruteforce", "both", "auto")
+]
+
+
+def sweep_graphs(count: int, seed: int):
+    """(name, edge-list text) of count seeded graphs on 3 to 8 vertices,
+    alternately any graph without isolated vertices (often disconnected)
+    and a connected one."""
+    rng = random.Random(seed)
+    for i in range(count):
+        v = rng.randint(3, 8)
+        if i % 2:
+            g = random_connected_graph(rng, v, max_extra=rng.randint(0, 4))
+        else:
+            g = random_graph(rng, v, extra=rng.randint(0, 4))
+        yield f"g{i:03d}", f"r={g.r}\n" + "".join(f"{a} {b}\n" for a, b in g.edges)
+
+
+def run(argv: list[str]) -> tuple[object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code: object = main(argv)
+        except Exception as exc:  # an escaped exception is an answer too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_sweep(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--graphs", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=1515)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in sweep_graphs(args.graphs, args.seed):
+            path = str(Path(tmp) / f"{name}.txt")
+            Path(path).write_text(text)
+            for command in COMMANDS:
+                cli_argv = [command[0], path, *command[1:]]
+                code, out, err = run(cli_argv)
+                record = {
+                    "argv": [name if a == path else a for a in cli_argv],
+                    "exit": code,
+                    "stdout": out.replace(path, name),
+                    "stderr": err.replace(path, name),
+                }
+                print(json.dumps(record, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_sweep())

@@ -12,7 +12,6 @@ from edgedepth.assoc import (
     _spanning_unicyclic_keeping,
     ass_formula,
     cover_states,
-    nonbipartite_depth_zero_bound,
     witness_monomial,
 )
 from edgedepth.errors import (
@@ -185,14 +184,14 @@ def test_witness_certifies_depth_zero_boundary():
 
 def test_nonbipartite_bound_k4():
     k4 = build_graph(complete_edges(4))
-    n, f = nonbipartite_depth_zero_bound(k4)
+    n, f = witness_monomial(k4)
     assert n <= 4 - 0 - 2 + 1
     assert colon(power(edge_ideal(k4), n), f) == maximal_ideal(4)
 
 
 def test_nonbipartite_bound_dense():
     g = build_graph(complete_edges(5))
-    n, f = nonbipartite_depth_zero_bound(g)
+    n, f = witness_monomial(g)
     assert colon(power(edge_ideal(g), n), f) == maximal_ideal(5)
     assert n <= 5 - 0 - 3 + 1
 
@@ -244,9 +243,11 @@ def test_spanning_unicyclic_takes_the_cycles_once():
 
 def test_nonbipartite_bound_rejects_bipartite():
     with pytest.raises(NotNonbipartiteError):
-        nonbipartite_depth_zero_bound(build_graph(cycle_edges(4)))
+        witness_monomial(build_graph(cycle_edges(4)))
     with pytest.raises(NotNonbipartiteError):
-        nonbipartite_depth_zero_bound(build_graph(path_edges(4)))
+        witness_monomial(build_graph(path_edges(4)))
+    with pytest.raises(NotNonbipartiteError):  # disconnected
+        witness_monomial(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
 
 
 def test_ass_sets_grow_with_n():

@@ -149,6 +149,43 @@ def test_ass_auto_keeps_the_level_cap(graph_file, capsys):
     assert code == 3 and "the level cap" in err and out == ""
 
 
+def test_ass_both_mismatch_prints_payload_and_exits_4(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(assoc, "ass_formula", lambda g, n, trace=False: ((1,),))
+    path = graph_file("c3.txt", C3_TEXT)
+    argv = ["--format", "json", "ass", path, "--power", "2", "--method", "both"]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and err == "mismatch: formula and brute-force associated primes differ\n"
+    payload = json.loads(out)
+    assert payload["formula"] == [[1]] and [1, 2, 3] in payload["bruteforce"]
+    assert "match" not in payload
+
+
+def test_depth_seq_verify_mismatch_exits_4(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(depth, "betti_depth_crosscheck", lambda ideal, field: 99)
+    path = graph_file("c3.txt", C3_TEXT)
+    code, _, err = run(capsys, ["depth-seq", path, "--max-power", "2", "--verify"])
+    assert code == 4
+    assert err == "mismatch: power 1: scan depth 1 != betti depth 99\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["depth-seq", "--max-power", "0"], ["ass", "--power", "0"]], ids=["depth-seq", "ass"]
+)
+def test_power_zero_is_an_input_error(graph_file, capsys, argv):
+    path = graph_file("c3.txt", C3_TEXT)
+    code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 2 and out == "" and err == f"error: {argv[1]} must be >= 1\n"
+
+
+def test_oracle_past_its_bound_exits_5(graph_file, capsys, monkeypatch):
+    # C6 reaches its limit depth at n = 4; a bound of 1 stops the oracle first
+    monkeypatch.setattr(stability, "mt_bound", lambda g: 1)
+    path = graph_file("c6.txt", C6_TEXT)
+    code, out, err = run(capsys, ["dstab", path, "--method", "oracle"])
+    assert code == 5 and out == ""
+    assert err == "internal error: depth did not reach the limit 1 within the bound 1\n"
+
+
 def test_homology_command(capsys):
     code, out, _ = run(
         capsys,

@@ -365,6 +365,42 @@ def test_hint_on_a_box_past_int64():
     assert cert.witness_alpha == tuple(cell) and cert.scan_box == (16,) * 16
 
 
+def test_slots_keep_fields_in_order_inside_words():
+    grid = itertools.product((1, 2, 9, 10, 11, 16), (1, 2, 3, 4), (1, 20, 33, 80))
+    for r, width, n_fields in grid:
+        at = [word * 64 + shift for word, shift in depth._slots(n_fields, width, r)]
+        assert len(at) == n_fields and at[0] == r  # clear of the r low bits
+        for a, b in zip(at, at[1:]):
+            # the next field follows at once unless it would cross a word
+            assert b == a + width if (a + width) % 64 + width <= 64 else b % 64 == 0
+        assert all(a % 64 + width <= 64 for a in at)
+    # 11 + 26 * 2 = 63 bits: field 26 would straddle, so it opens word 1
+    assert depth._slots(32, 2, 11)[25:27] == [(0, 61), (1, 0)]
+
+
+def test_walk_packs_states_into_several_words(monkeypatch):
+    # 5K2 has 32 independence facets: at n = 2, 10 + 32 * 2 bits take two
+    # words on layers 1-9 (10 + 27 * 2 = 64 fills the first exactly)
+    g = build_graph([(2 * i + 1, 2 * i + 2) for i in range(5)])
+    words = []
+    slots = depth._slots
+
+    def spy(n_fields, width, r):
+        out = slots(n_fields, width, r)
+        words.append(out[-1][0] + 1)
+        return out
+
+    monkeypatch.setattr(depth, "_slots", spy)
+    cert = depth_power(g, 2)
+    assert words == [2] * 9 + [1]
+    assert (cert.depth, cert.witness_alpha, cert.homology_dim) == (5, (-1, 0) * 5, 1)
+    assert cert == depth_bruteforce(power(edge_ideal(g), 2))
+    # start the fields one bit higher: field 26 would then straddle bits
+    # 63-64, so it is padded to word 1, which must not change the answer
+    monkeypatch.setattr(depth, "_slots", lambda n, width, r: slots(n, width, r + 1))
+    assert depth_power(g, 2) == cert
+
+
 def _disjoint_union(pieces):
     edges, off = [], 0
     for piece in pieces:

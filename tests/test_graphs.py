@@ -198,3 +198,32 @@ def test_random_decompose_consistency():
         prof = cycle_profile(g)
         # bipartite everywhere iff no odd cycle
         assert (dec.t == 0) == (prof.max_odd_len is None)
+
+
+def test_decompose_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1515)
+    disconnected = 0
+    for i in range(240):
+        g = random_graph(rng, rng.randint(2, 7), extra=rng.randint(0, 5))
+        if i % 2:  # a disjoint union, labels shuffled so components interleave
+            h = random_graph(rng, rng.randint(2, 5), extra=rng.randint(0, 3))
+            label = rng.sample(range(1, g.r + h.r + 1), g.r + h.r)
+            edges = g.edges + tuple((a + g.r, b + g.r) for a, b in h.edges)
+            g = build_graph([(label[a - 1], label[b - 1]) for a, b in edges])
+        ng = nx.Graph(g.edges)
+        comps = sorted(tuple(sorted(c)) for c in nx.connected_components(ng))
+        disconnected += len(comps) > 1
+        want = []
+        for comp in comps:
+            sub = ng.subgraph(comp)
+            if not nx.is_bipartite(sub):
+                want.append(None)
+                continue
+            color = nx.bipartite.color(sub)  # X is the side of the least vertex
+            x = tuple(v for v in comp if color[v] == color[comp[0]])
+            want.append((x, tuple(v for v in comp if v not in x)))
+        dec = decompose(g)
+        assert dec.components == tuple(comps), g.edges
+        assert dec.bipartitions == tuple(want), g.edges
+    assert disconnected >= 120

@@ -12,8 +12,9 @@ from conftest import (
     random_connected_graph,
     star_edges,
 )
-from edgedepth import stability
+from edgedepth import assoc, stability
 from edgedepth.errors import (
+    NoFullStateError,
     NotConnectedBipartiteError,
     NotTreeError,
     NotUnicyclicError,
@@ -321,6 +322,26 @@ def test_wrong_hints_change_nothing(monkeypatch):
         # hints are built at the first power a witness can have
         assert hinted[-1][1] == wrong
         assert all(hints in ((), wrong) and not c.hint_hit for _, hints, c in hinted)
+
+
+def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
+    # C5+leaf takes its hint from the cover walk, the bowtie from a spanning
+    # unicyclic subgraph's walk; a walk with no full cover leaves no hint
+    # and the scan alone finds the same dstab
+    c5_leaf = build_graph(cycle_edges(5) + [(1, 6)])
+    bowtie = build_graph(cycle_edges(3) + [(1, 4), (4, 5), (1, 5)])
+    want = {g: dstab_oracle(g) for g in (c5_leaf, bowtie)}
+    assert all(stability._witness_hints(g) for g in want)
+
+    def no_full_state(g):
+        raise NoFullStateError("no level-n state covers every vertex")
+
+    for module in (stability, assoc):
+        monkeypatch.setattr(module, "full_cover_monomial", no_full_state)
+    for g, n in want.items():
+        assert stability._witness_hints(g) == {}
+        assert dstab_oracle(g) == n
+    assert want[c5_leaf] == dstab_formula(c5_leaf).value and dstab_formula(c5_leaf).exact
 
 
 def test_oracle_reaches_p8():
