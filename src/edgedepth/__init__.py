@@ -20,14 +20,9 @@ from .stability import (
     dstab_tree,
     dstab_unicyclic,
     mt_bound,
-    mu_witness,
-    unicyclic_bipartite_witness,
+    witness,
 )
-from .assoc import (
-    ass_formula,
-    cover_states,
-    witness_monomial,
-)
+from .assoc import ass_formula, cover_states
 
 __all__ = [
     "Graph",
@@ -56,11 +51,9 @@ __all__ = [
     "dstab_tree",
     "dstab_unicyclic",
     "mt_bound",
-    "mu_witness",
-    "unicyclic_bipartite_witness",
+    "witness",
     "ass_formula",
     "cover_states",
-    "witness_monomial",
 ]
 
 __version__ = "0.1.0"

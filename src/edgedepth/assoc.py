@@ -6,7 +6,10 @@ d_k = product of the cycle variables.  A step picks an edge {i, j} with
 i in R and j in R or B; it multiplies d by x_i x_j, and when j was in B it
 moves j into R and pulls N(j) into B.  Ass(R/I^n) is the set of minimal
 covers together with the primes on R_n + B_n + V for each reachable level-n
-state and each minimal completion V to a vertex cover.
+state and each minimal completion V to a vertex cover.  A level-n state
+whose R + B is every vertex gives a monomial d with (I^n : d) = m
+(full_cover_monomial), the depth-zero witness that stability.witness
+checks.
 """
 from __future__ import annotations
 
@@ -18,10 +21,8 @@ from typing import Iterable
 from .errors import (
     LevelBelowStartError,
     NoFullStateError,
-    NotNonbipartiteError,
     NotUnicyclicNonbipartiteError,
     TooLargeError,
-    WitnessCheckFailedError,
 )
 from .graphs import (
     Graph,
@@ -35,7 +36,7 @@ from .graphs import (
     minimal_vertex_covers,
     simple_cycles,
 )
-from .monomials import Monomial, contains, edge_ideal, power
+from .monomials import Monomial
 
 MAX_LEVEL_MARGIN = 4
 
@@ -153,7 +154,7 @@ def ass_formula(
 def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
     """n = component_bound(g) and the least d of a level-n state whose R + B
     is every vertex, for connected unicyclic nonbipartite g; unchecked (see
-    witness_monomial)."""
+    stability.witness)."""
     _validate_unicyclic_nonbipartite(g)
     n = component_bound(g)
     full = set(g.vertices)
@@ -167,22 +168,6 @@ def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
             f"no level-{n} state covers every vertex; the walk should reach one"
         )
     return n, min(candidates)
-
-
-def _check_depth_zero(g: Graph, n: int, f: Monomial) -> None:
-    """Raise WitnessCheckFailedError unless (I(g)^n : f) is the maximal
-    ideal, that is, unless f lies outside I(g)^n and x_i f inside it for
-    every i."""
-    ideal_n = power(edge_ideal(g), n)
-    if contains(ideal_n, f):
-        raise WitnessCheckFailedError(f"witness lies in the power at n={n}: {f}")
-    for i in range(g.r):
-        bumped = list(f)
-        bumped[i] += 1
-        if not contains(ideal_n, tuple(bumped)):
-            raise WitnessCheckFailedError(
-                f"witness times x{i + 1} escapes the power at n={n}: {f}"
-            )
 
 
 def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -216,28 +201,10 @@ def _spanning_unicyclic_keeping(
 def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     """For connected nonbipartite g: the full_cover_monomial of a spanning
     unicyclic subgraph H that keeps a maximum odd cycle; unchecked (see
-    witness_monomial)."""
-    dec = decompose(g)
-    if dec.p != 1 or dec.t != 1:
-        raise NotNonbipartiteError(
-            "operation needs a connected nonbipartite graph"
-        )
+    stability.witness).  Since I(H) is inside I(g), a witness for H is one
+    for g."""
     cycles = simple_cycles(g)
     odd = [c for c in cycles if len(c) % 2 == 1]
     best_len = max(len(c) for c in odd)
     cycle = min(c for c in odd if len(c) == best_len)
     return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle, cycles))
-
-
-def witness_monomial(g: Graph) -> tuple[int, Monomial]:
-    """For connected nonbipartite g: an n with depth R/I(g)^n = 0,
-    certified by (I(g)^n : f) = m for an explicit monomial f of degree
-    2n - 1.
-
-    Built on a spanning unicyclic subgraph H that keeps a maximum odd
-    cycle (g itself when g is unicyclic, and then n = component_bound(g));
-    the witness for H works in g because I(H) is inside I(g).
-    """
-    n, f = spanning_unicyclic_monomial(g)
-    _check_depth_zero(g, n, f)
-    return n, f

@@ -141,13 +141,13 @@ def cmd_depth_seq(args) -> int:
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
     if args.verify:
         ideal = monomials.edge_ideal(g)
-        for n in range(1, args.max_power + 1):
-            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=args.field)
-            if other != seq[n - 1]:
-                raise MismatchError(
-                    f"power {n}: scan depth {seq[n - 1]} != betti depth {other}"
-                )
         payload["verified"] = True
+        for n, d in enumerate(seq, 1):
+            other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=args.field)
+            if other != d:
+                payload["verified"] = False
+                _emit(payload, args.format)
+                raise MismatchError(f"power {n}: scan depth {d} != betti depth {other}")
     _emit(payload, args.format)
     return EXIT_OK
 

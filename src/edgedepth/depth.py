@@ -297,28 +297,27 @@ def _least_cell(
     return value, tuple(int(e) for e in alpha[first[i]]), hdim
 
 
-def _hint_scan(
+def _scan(
     sizes: Sequence[int], hints: Sequence[Sequence[int]], atoms: np.ndarray, chosen_of,
-    avoid: bool, field: FieldChoice, floor: int,
-) -> tuple[tuple[int, tuple[int, ...], int], int]:
-    """_least_cell's best among the hint cells inside the box, coordinate j
-    ranging over -1 .. sizes[j] - 2, and how many those are.  A hint outside
-    the box is dropped."""
+    avoid: bool, field: FieldChoice, floor: int, search,
+) -> DepthCertificate:
+    """The certificate of a scan of the box, coordinate j ranging over
+    -1 .. sizes[j] - 2.  The hint cells inside the box go first, through
+    _least_cell; one that reaches the floor is the witness, with hint_hit
+    set.  Otherwise search() gives the best (value, cell, homology dim) of
+    the whole box and the cells it scanned.  A hint outside the box is
+    dropped."""
     inside = [
         h for h in hints
         if len(h) == len(sizes) and all(-1 <= a <= s - 2 for a, s in zip(h, sizes))
     ]
-    if not inside:
-        return (_NO_VALUE, (), 0), 0
-    alpha = np.array(inside, dtype=np.int16)
-    return _least_cell(alpha, atoms, chosen_of, avoid, field, floor), len(inside)
-
-
-def _certificate(
-    sizes: Sequence[int], floor: int, best: tuple[int, tuple[int, ...], int], scanned: int, hit: bool
-) -> DepthCertificate:
-    """The certificate of a scan whose least cell is best (value, cell,
-    homology dim); scanned and hit are its cells_scanned and hint_hit."""
+    best = (_NO_VALUE, (), 0)
+    if inside:
+        best = _least_cell(np.array(inside, dtype=np.int16), atoms, chosen_of, avoid, field, floor)
+    hit, scanned = best[0] <= floor, len(inside)
+    if not hit:
+        best, searched = search()
+        scanned += searched
     value, cell, hdim = best
     if value == _NO_VALUE:
         raise InternalError("depth scan found no nonvanishing local cohomology")
@@ -472,12 +471,11 @@ def _ideal_scan(
 
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
     atoms = np.arange(1 << r)
-    best, tried = _hint_scan(sizes, hints, atoms, violations, True, field, floor)
-    if best[0] <= floor:
-        return _certificate(sizes, floor, best, tried, True)
     width = len(gens) + (2 << r)  # violation masks, chosen sets, face bitmaps
-    best, scanned = _box_search(sizes, width, atoms, violations, field, floor)
-    return _certificate(sizes, floor, best, tried + scanned, False)
+    return _scan(
+        sizes, hints, atoms, violations, True, field, floor,
+        lambda: _box_search(sizes, width, atoms, violations, field, floor),
+    )
 
 
 def depth_power(
@@ -486,7 +484,7 @@ def depth_power(
     field: FieldChoice = QQ,
     hints: Sequence[Sequence[int]] = (),
 ) -> DepthCertificate:
-    """depth R/I(g)^n; hints are cells to try first (see _hint_scan).
+    """depth R/I(g)^n; hints are cells to try first (see _scan).
 
     For bipartite g the atoms are the facets of the independence complex,
     and a cell chooses those that contain G_a and have alpha-weight at most
@@ -518,12 +516,11 @@ def _power_scan(
         # a negative coordinate outside a facet outweighs n - 1 on its own
         return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
 
-    sizes, floor = [n + 1] * g.r, max(floor, 1)
-    best, tried = _hint_scan(sizes, hints, atoms, chosen_facets, False, field, floor)
-    if best[0] <= floor:
-        return _certificate(sizes, floor, best, tried, True)
-    best, states = _walk(outside, n, atoms, field, floor)
-    return _certificate(sizes, floor, best, tried + states, False)
+    floor = max(floor, 1)
+    return _scan(
+        [n + 1] * g.r, hints, atoms, chosen_facets, False, field, floor,
+        lambda: _walk(outside, n, atoms, field, floor),
+    )
 
 
 def split_certificates(

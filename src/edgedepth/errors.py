@@ -37,15 +37,7 @@ class NotBipartiteError(GraphError):
     pass
 
 
-class NotConnectedBipartiteError(GraphError):
-    pass
-
-
 class NotUnicyclicNonbipartiteError(GraphError):
-    pass
-
-
-class NotNonbipartiteError(GraphError):
     pass
 
 

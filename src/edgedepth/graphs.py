@@ -15,10 +15,8 @@ from typing import Iterable, Optional
 
 from .errors import (
     BadLabelError,
-    DisconnectedError,
     IsolatedVertexError,
     LoopEdgeError,
-    NotBipartiteError,
     ParseError,
     TooLargeError,
 )
@@ -168,16 +166,6 @@ def decompose(g: Graph) -> ComponentDecomposition:
 
 def is_connected(g: Graph) -> bool:
     return decompose(g).p == 1
-
-
-def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bipartition (X, Y) of a connected bipartite graph, 1 in X."""
-    dec = decompose(g)
-    if dec.p != 1:
-        raise DisconnectedError("bipartition requires a connected graph")
-    if dec.bipartitions[0] is None:
-        raise NotBipartiteError("graph has an odd cycle")
-    return dec.bipartitions[0]
 
 
 def leaf_edges(g: Graph) -> int:

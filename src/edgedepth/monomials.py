@@ -146,20 +146,6 @@ def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
     return minimalize(ideal.r, quotients)
 
 
-def variable_ideal(r: int, support: Iterable[int]) -> MonomialIdeal:
-    """The prime ideal (x_i : i in support)."""
-    gens = []
-    for i in support:
-        m = [0] * r
-        m[i - 1] = 1
-        gens.append(tuple(m))
-    return minimalize(r, gens)
-
-
-def maximal_ideal(r: int) -> MonomialIdeal:
-    return variable_ideal(r, range(1, r + 1))
-
-
 def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
     """Boolean (k, n) rows as (k, words) uint64 bitsets, padding bits zero."""
     packed = np.zeros((len(bits), 8 * words), dtype=np.uint8)

@@ -14,9 +14,14 @@ Every graph obeys the bound dstab <= v - e0 - sum(k_i) + 1, the union rule
 applied to the components' b (mt_bound), where 2k_i is the largest even
 cycle length of a bipartite component (k_i = 1 for trees) and 2k_i - 1 the
 largest odd cycle length of a nonbipartite one (graphs.component_k).
+
+Each connected graph also has a witness (witness): a power n and a degree
+alpha whose complex shows that depth R/I^n is already the limit.  The
+oracle tries the same cell first at its power (_witness_stream).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -30,9 +35,9 @@ from .depth import (
     takayama_complex,
 )
 from .errors import (
+    DisconnectedError,
     InternalError,
     NoFullStateError,
-    NotConnectedBipartiteError,
     NotTreeError,
     NotUnicyclicError,
     TooLargeError,
@@ -40,7 +45,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    bipartition,
     component_bound,
     component_k,
     cycle_profile,
@@ -52,7 +56,7 @@ from .graphs import (
     leaf_edges,
     mu_vector,
 )
-from .monomials import edge_ideal, power
+from .monomials import contains, edge_ideal, power
 from .simplicial import QQ, FieldChoice, from_facets
 
 
@@ -165,43 +169,38 @@ def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
     )
 
 
-def _witness_hints(g: Graph) -> dict[int, list[tuple[int, ...]]]:
-    """The paper's witness cell of a connected g, keyed by its power: there
-    the cell's index is the scan's floor, which is then the limit depth.
+def _witness(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The paper's witness (n, alpha) of a connected g, unchecked (see
+    witness); the one place where g's class picks its witness.
 
-    A tree gets mu(g) at e - e0 + 1 and a bipartite unicyclic graph with a
-    cycle of length at least 6 the peeled alpha at component_bound(g), both of
-    index 1 (D = <X, Y>).  A nonbipartite g gets the exponent of a monomial
-    f with (I^n : f) = m, of index 0 (D = {emptyset}): from the cover walk
-    when g is unicyclic, else from a spanning unicyclic subgraph.  The scan
-    checks each cell, so a cell may be wrong, and a walk that reaches no
-    full cover only costs the hint."""
+    A nonbipartite g gets the exponent of a monomial f with (I^n : f) = m,
+    of index 0 (D = {emptyset}): from the cover walk when g is unicyclic,
+    else from a spanning unicyclic subgraph.  A bipartite unicyclic g gets
+    the peeled alpha at component_bound(g), and any other bipartite g gets
+    mu(g) at e - e0 + 1, which is component_bound(g) for a tree; both are
+    of index 1 (D = <X, Y>)."""
     if decompose(g).t:
-        build = full_cover_monomial if is_unicyclic(g) else spanning_unicyclic_monomial
-        try:
-            n, cell = build(g)
-        except NoFullStateError:
-            return {}
-    elif is_tree(g):
-        n, cell = _mu_cell(g)
-    elif is_unicyclic(g) and len(cycle_profile(g).unique_cycle) >= 6:
-        n, cell = _unicyclic_bipartite_cell(g)
-    else:
-        return {}
-    return {n: [tuple(cell)]}
+        return full_cover_monomial(g) if is_unicyclic(g) else spanning_unicyclic_monomial(g)
+    if is_unicyclic(g):
+        return component_bound(g), _prop_alpha_unicyclic(g, cycle_profile(g).unique_cycle)
+    return g.num_edges - leaf_edges(g) + 1, mu_vector(g)
 
 
 def _witness_stream(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
     """depth_power of a connected g at n = 1, 2, ..., with g's witness
-    cell (_witness_hints) tried first at its power.  No witness power is
-    below g's k, so the cells are built at power k, and a graph whose depth
-    settles earlier (K_r does at n = 2) never pays for the construction."""
+    cell (_witness) tried first at its power: there the cell's index is
+    the scan's floor, which is then the limit depth.  The scan checks the
+    cell, so a wrong cell, or a walk that reaches no full cover, only costs
+    the hint.  No witness power is below g's k, so the cell is built at
+    power k, and a graph whose depth settles earlier (K_r does at n = 2)
+    never pays for the construction."""
     k = component_k(g)
-    hints: dict[int, list[tuple[int, ...]]] = {}
+    hint: tuple[int, tuple[int, ...]] = (0, ())
     for n in itertools.count(1):
         if n == k:
-            hints = _witness_hints(g)
-        yield depth_power(g, n, field=field, hints=hints.get(n, ()))
+            with contextlib.suppress(NoFullStateError):
+                hint = _witness(g)
+        yield depth_power(g, n, field=field, hints=[hint[1]] if n == hint[0] else ())
 
 
 def _certificates(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
@@ -259,46 +258,35 @@ def dstab_oracle(g: Graph, field: FieldChoice = QQ, trace: bool = False) -> int:
     )
 
 
-@dataclass(frozen=True)
-class WitnessAlpha:
-    """A multidegree alpha and power n with D_alpha(I^n) = <X, Y>."""
+def witness(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(n, alpha) with depth R/I(g)^n at the limit depth for a connected g,
+    from _witness and checked against the definition.
 
-    alpha: tuple[int, ...]
-    n: int
-    x_side: tuple[int, ...]
-    y_side: tuple[int, ...]
-
-
-def _check_two_facet_complex(g: Graph, alpha: tuple[int, ...], n: int) -> WitnessAlpha:
-    x_side, y_side = bipartition(g)
-    got = takayama_complex(power(edge_ideal(g), n), alpha)
-    want = from_facets(range(1, g.r + 1), [x_side, y_side])
-    if got.facets != want.facets:
-        raise WitnessCheckFailedError(
-            f"expected facets {want.facets}, got {got.facets} (alpha={alpha}, n={n})"
-        )
-    wx = sum(alpha[v - 1] for v in range(1, g.r + 1) if v not in set(x_side))
-    wy = sum(alpha[v - 1] for v in range(1, g.r + 1) if v not in set(y_side))
-    if wx != n - 1 or wy != n - 1:
-        raise WitnessCheckFailedError(
-            f"complement weights ({wx}, {wy}) differ from n-1={n - 1}"
-        )
-    return WitnessAlpha(alpha=alpha, n=n, x_side=x_side, y_side=y_side)
-
-
-def mu_witness(g: Graph) -> WitnessAlpha:
-    """For connected bipartite g: alpha = mu(g) (non-leaf edge counts) and
-    n = e - e0 + 1 disconnect the degree-alpha complex into <X, Y>."""
+    A nonbipartite g: x^alpha lies outside I^n and x_i x^alpha inside it for
+    every i, so (I^n : x^alpha) = m and the depth is 0.  A bipartite g with
+    sides X and Y: D_alpha(I^n) = <X, Y> (takayama_complex) and alpha weighs
+    n - 1 outside each side, so the depth is 1.  Raises DisconnectedError
+    on a disconnected g and WitnessCheckFailedError when a check fails."""
     dec = decompose(g)
-    if dec.p != 1 or dec.t != 0:
-        raise NotConnectedBipartiteError("mu witness needs a connected bipartite graph")
-    n, alpha = _mu_cell(g)
-    return _check_two_facet_complex(g, alpha, n)
-
-
-def _mu_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """n = e - e0 + 1 and alpha = mu(g); unchecked (see mu_witness)."""
-    return g.num_edges - leaf_edges(g) + 1, mu_vector(g)
+    if dec.p != 1:
+        raise DisconnectedError("witness needs a connected graph")
+    n, alpha = _witness(g)
+    ideal = power(edge_ideal(g), n)
+    if dec.t:
+        bumped = [alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for i in range(g.r)]
+        if contains(ideal, alpha) or not all(contains(ideal, b) for b in bumped):
+            raise WitnessCheckFailedError(f"(I^{n} : x^{alpha}) is not the maximal ideal")
+        return n, alpha
+    sides = dec.bipartitions[0]
+    got = takayama_complex(ideal, alpha).facets
+    want = from_facets(g.vertices, sides).facets
+    weights = [sum(alpha) - sum(alpha[v - 1] for v in side) for side in sides]
+    if got != want or weights != [n - 1, n - 1]:
+        raise WitnessCheckFailedError(
+            f"D_alpha has facets {got} and weights {weights} outside the sides, "
+            f"expected {want} and n - 1 = {n - 1} (alpha={alpha}, n={n})"
+        )
+    return n, alpha
 
 
 def _prop_alpha_unicyclic(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -327,22 +315,3 @@ def _prop_alpha_unicyclic(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
             weights[w - 1] += 1
             leaves.add(t)
     return tuple(weights)
-
-
-def unicyclic_bipartite_witness(g: Graph) -> WitnessAlpha:
-    """Witness alpha and n = component_bound(g) for a connected bipartite
-    unicyclic graph; verified against the definition of the degree-alpha
-    complex."""
-    if not is_unicyclic(g):
-        raise NotUnicyclicError("graph is not connected with exactly one cycle")
-    dec = decompose(g)
-    if dec.t:
-        raise NotConnectedBipartiteError("witness needs a bipartite graph")
-    n, alpha = _unicyclic_bipartite_cell(g)
-    return _check_two_facet_complex(g, alpha, n)
-
-
-def _unicyclic_bipartite_cell(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """n = component_bound(g) and the peeled alpha for a connected bipartite
-    unicyclic g; unchecked (see unicyclic_bipartite_witness)."""
-    return component_bound(g), _prop_alpha_unicyclic(g, cycle_profile(g).unique_cycle)

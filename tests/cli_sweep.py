@@ -8,8 +8,10 @@ The runs go through edgedepth.cli.main in this process, on the edgedepth
 under ../src.  They use only the command line, so a copy of this file in
 another checkout's tests/ runs that checkout unchanged, and `cmp` of the
 two outputs says whether both give the same answers.  Per graph: analyze,
-dstab, depth-seq --max-power 3, and ass at powers 1..3 under every
---method.  The default run takes about 40 s on a 2-core machine.
+dstab --trace, depth-seq --trace --max-power 3, and ass at powers 1..3
+under every --method.  The traces put each power's certificate (depth,
+witness, hint_hit, cells_scanned) on stderr, so cmp compares those too.
+The default run takes about 40 s on a 2-core machine.
 """
 from __future__ import annotations
 
@@ -28,8 +30,13 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from conftest import random_connected_graph, random_graph  # noqa: E402
 from edgedepth.cli import main  # noqa: E402
 
-COMMANDS = [["analyze"], ["dstab"], ["depth-seq", "--max-power", "3"]] + [
-    ["ass", "--power", str(n), "--method", method]
+GRAPH = "{graph}"  # stands for the graph file's path
+COMMANDS = [
+    ["analyze", GRAPH],
+    ["--trace", "dstab", GRAPH],
+    ["--trace", "depth-seq", GRAPH, "--max-power", "3"],
+] + [
+    ["ass", GRAPH, "--power", str(n), "--method", method]
     for n in (1, 2, 3)
     for method in ("formula", "bruteforce", "both", "auto")
 ]
@@ -69,7 +76,7 @@ def main_sweep(argv=None) -> int:
             path = str(Path(tmp) / f"{name}.txt")
             Path(path).write_text(text)
             for command in COMMANDS:
-                cli_argv = [command[0], path, *command[1:]]
+                cli_argv = [path if a == GRAPH else a for a in command]
                 code, out, err = run(cli_argv)
                 record = {
                     "argv": [name if a == path else a for a in cli_argv],

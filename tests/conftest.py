@@ -129,6 +129,20 @@ def isomorphism_classes(graph_list: list[Graph]) -> list[Graph]:
     return out
 
 
+def variable_ideal(r: int, support: Iterable[int]) -> MonomialIdeal:
+    """The prime ideal (x_i : i in support)."""
+    gens = []
+    for i in support:
+        m = [0] * r
+        m[i - 1] = 1
+        gens.append(tuple(m))
+    return minimalize(r, gens)
+
+
+def maximal_ideal(r: int) -> MonomialIdeal:
+    return variable_ideal(r, range(1, r + 1))
+
+
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 

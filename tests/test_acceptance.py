@@ -18,13 +18,14 @@ from conftest import (
     cycle_edges,
     intersect,
     isomorphism_classes,
+    maximal_ideal,
     path_edges,
     random_connected_graph,
     random_graph,
     star_edges,
     symbolic_member,
 )
-from edgedepth.assoc import ass_formula, witness_monomial
+from edgedepth.assoc import ass_formula
 from edgedepth.depth import (
     betti_depth_crosscheck,
     bipartite_power_complex,
@@ -45,7 +46,6 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
-    maximal_ideal,
     minimalize,
     multiply,
     power,
@@ -62,6 +62,7 @@ from edgedepth.stability import (
     dstab_formula,
     dstab_oracle,
     mt_bound,
+    witness,
 )
 from test_monomials import random_ideal
 
@@ -218,7 +219,7 @@ def test_acceptance_5_associated_primes():
             brute = associated_primes_bruteforce(power(edge_ideal(g), n))
             if formula != brute:
                 bad.append(f"{g.edges} n={n}: formula != bruteforce")
-        n0, f = witness_monomial(g)
+        n0, f = witness(g)
         if colon(power(edge_ideal(g), n0), f) != maximal_ideal(g.r):
             bad.append(f"{g.edges}: witness colon not maximal at n={n0}")
         if n0 >= 2 and colon(power(edge_ideal(g), n0 - 1), f) == maximal_ideal(g.r):

@@ -5,18 +5,16 @@ import random
 
 import pytest
 
-from conftest import complete_edges, cycle_edges, path_edges, random_connected_graph
+from conftest import complete_edges, cycle_edges, maximal_ideal, random_connected_graph
 from edgedepth.assoc import (
     MAX_LEVEL_MARGIN,
     CoverState,
     _spanning_unicyclic_keeping,
     ass_formula,
     cover_states,
-    witness_monomial,
 )
 from edgedepth.errors import (
     LevelBelowStartError,
-    NotNonbipartiteError,
     NotUnicyclicNonbipartiteError,
     TooLargeError,
 )
@@ -33,11 +31,10 @@ from edgedepth.monomials import (
     associated_primes_bruteforce,
     colon,
     edge_ideal,
-    maximal_ideal,
     monomial_mul,
     power,
 )
-from edgedepth.stability import dstab_formula
+from edgedepth.stability import dstab_formula, witness
 
 
 def test_cover_states_triangle_levels():
@@ -159,13 +156,13 @@ def test_ass_formula_matches_bruteforce():
 
 
 def test_witness_monomial_cycles():
-    assert witness_monomial(build_graph(cycle_edges(3))) == (2, (1, 1, 1))
-    assert witness_monomial(build_graph(cycle_edges(5))) == (3, (1, 1, 1, 1, 1))
+    assert witness(build_graph(cycle_edges(3))) == (2, (1, 1, 1))
+    assert witness(build_graph(cycle_edges(5))) == (3, (1, 1, 1, 1, 1))
 
 
 def test_witness_monomial_triangle_pendant():
     g = build_graph(cycle_edges(3) + [(3, 4)])
-    n, f = witness_monomial(g)
+    n, f = witness(g)
     assert n == 4 - 1 - 2 + 1 == 2
     assert sum(f) == 2 * n - 1
     assert colon(power(edge_ideal(g), n), f) == maximal_ideal(g.r)
@@ -175,7 +172,7 @@ def test_witness_certifies_depth_zero_boundary():
     # at n the colon is maximal; at n - 1 the same monomial is inside the
     # power, so the certificate genuinely pins the transition
     g = build_graph(cycle_edges(3) + [(3, 4), (4, 5)])
-    n, f = witness_monomial(g)
+    n, f = witness(g)
     assert colon(power(edge_ideal(g), n), f) == maximal_ideal(g.r)
     from edgedepth.monomials import contains
 
@@ -184,14 +181,14 @@ def test_witness_certifies_depth_zero_boundary():
 
 def test_nonbipartite_bound_k4():
     k4 = build_graph(complete_edges(4))
-    n, f = witness_monomial(k4)
+    n, f = witness(k4)
     assert n <= 4 - 0 - 2 + 1
     assert colon(power(edge_ideal(k4), n), f) == maximal_ideal(4)
 
 
 def test_nonbipartite_bound_dense():
     g = build_graph(complete_edges(5))
-    n, f = witness_monomial(g)
+    n, f = witness(g)
     assert colon(power(edge_ideal(g), n), f) == maximal_ideal(5)
     assert n <= 5 - 0 - 3 + 1
 
@@ -239,15 +236,6 @@ def test_spanning_unicyclic_takes_the_cycles_once():
         h = _spanning_unicyclic_keeping(g, cycle, cycles)
         assert h == _spanning_unicyclic_reference(g, cycle)
         assert is_unicyclic(h) and cycle_profile(h).unique_cycle == cycle
-
-
-def test_nonbipartite_bound_rejects_bipartite():
-    with pytest.raises(NotNonbipartiteError):
-        witness_monomial(build_graph(cycle_edges(4)))
-    with pytest.raises(NotNonbipartiteError):
-        witness_monomial(build_graph(path_edges(4)))
-    with pytest.raises(NotNonbipartiteError):  # disconnected
-        witness_monomial(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
 
 
 def test_ass_sets_grow_with_n():

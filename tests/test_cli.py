@@ -163,9 +163,14 @@ def test_ass_both_mismatch_prints_payload_and_exits_4(graph_file, capsys, monkey
 def test_depth_seq_verify_mismatch_exits_4(graph_file, capsys, monkeypatch):
     monkeypatch.setattr(depth, "betti_depth_crosscheck", lambda ideal, field: 99)
     path = graph_file("c3.txt", C3_TEXT)
-    code, _, err = run(capsys, ["depth-seq", path, "--max-power", "2", "--verify"])
+    argv = ["--format", "json", "depth-seq", path, "--max-power", "2", "--verify"]
+    code, out, err = run(capsys, argv)
     assert code == 4
     assert err == "mismatch: power 1: scan depth 1 != betti depth 99\n"
+    # the payload is printed before the exit, as dstab and ass print theirs
+    assert json.loads(out) == {
+        "depths": [1, 0], "limit_depth": 0, "first_at_limit": 2, "verified": False
+    }
 
 
 @pytest.mark.parametrize(
@@ -286,7 +291,7 @@ def test_missed_hint_over_box_cap_is_walked(graph_file, capsys, monkeypatch):
     path = graph_file("p8.txt", P8_TEXT)
     code, out, _ = run(capsys, ["--format", "json", "dstab", "--method", "oracle", path])
     assert code == 0 and json.loads(out)["oracle"] == 6
-    monkeypatch.setattr(stability, "_witness_hints", lambda g: {6: [(0,) * 8]})
+    monkeypatch.setattr(stability, "_witness", lambda g: (6, (0,) * 8))
     code, out, err = run(capsys, ["--trace", "--format", "json", "dstab", "--method", "oracle", path])
     assert code == 0 and json.loads(out)["oracle"] == 6
     assert "power 6: depth=1" in err and "hint_hit=False" in err.splitlines()[-1]

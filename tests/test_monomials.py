@@ -14,9 +14,11 @@ from conftest import (
     path_edges,
     intersect,
     localize,
+    maximal_ideal,
     power_membership_exhaustive,
     random_graph,
     symbolic_member,
+    variable_ideal,
 )
 from edgedepth.depth import _homology
 from edgedepth.graphs import CYCLE_CACHE_ENTRIES, build_graph, cycle_profile
@@ -29,12 +31,10 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
-    maximal_ideal,
     minimalize,
     monomial_str,
     multiply,
     power,
-    variable_ideal,
 )
 
 

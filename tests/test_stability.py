@@ -14,8 +14,8 @@ from conftest import (
 )
 from edgedepth import assoc, stability
 from edgedepth.errors import (
+    DisconnectedError,
     NoFullStateError,
-    NotConnectedBipartiteError,
     NotTreeError,
     NotUnicyclicError,
     TooLargeError,
@@ -29,8 +29,7 @@ from edgedepth.stability import (
     dstab_tree,
     dstab_unicyclic,
     mt_bound,
-    mu_witness,
-    unicyclic_bipartite_witness,
+    witness,
 )
 from test_depth import _assert_witness
 
@@ -161,46 +160,45 @@ def test_oracle_golden_values():
 
 
 def test_mu_witness_examples():
-    w = mu_witness(build_graph([(1, 2)]))
-    assert w.alpha == (0, 0) and w.n == 1
-    w = mu_witness(build_graph(path_edges(4)))
-    assert w.alpha == (0, 1, 1, 0) and w.n == 2
-    w = mu_witness(build_graph(cycle_edges(6)))
-    assert w.alpha == (2, 2, 2, 2, 2, 2) and w.n == 7
+    # a tree, or a bipartite graph with more than one cycle, gets mu(g) at
+    # e - e0 + 1 (a unicyclic one gets the peeled alpha instead)
+    assert witness(build_graph([(1, 2)])) == (1, (0, 0))
+    assert witness(build_graph(path_edges(4))) == (2, (0, 1, 1, 0))
+    assert witness(build_graph(cycle_edges(6) + [(1, 4)])) == (8, (3, 2, 2, 3, 2, 2))
+    k23 = build_graph([(u, v) for u in (1, 2) for v in (3, 4, 5)])
+    assert witness(k23) == (7, (3, 3, 2, 2, 2))
 
 
 def test_mu_witness_random_bipartite_trees():
     rng = random.Random(67)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(2, 7), max_extra=0)
-        w = mu_witness(g)  # raises WitnessCheckFailedError on any defect
-        assert w.n == g.num_edges - sum(
+        n, _ = witness(g)  # raises WitnessCheckFailedError on any defect
+        assert n == g.num_edges - sum(
             1
             for u, v in g.edges
             if g.degree(u) == 1 or g.degree(v) == 1
         ) + 1
 
 
-def test_mu_witness_rejects():
-    with pytest.raises(NotConnectedBipartiteError):
-        mu_witness(build_graph(cycle_edges(3)))
-    with pytest.raises(NotConnectedBipartiteError):
-        mu_witness(build_graph(path_edges(2) + path_edges(2, offset=2)))
+def test_witness_rejects_disconnected():
+    with pytest.raises(DisconnectedError):
+        witness(build_graph(path_edges(2) + path_edges(2, offset=2)))
+    with pytest.raises(DisconnectedError):
+        witness(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
 
 
 def test_unicyclic_bipartite_witness_cases():
-    w = unicyclic_bipartite_witness(build_graph(cycle_edges(6)))
-    assert w.alpha == (1, 1, 1, 1, 1, 1) and w.n == 4
+    assert witness(build_graph(cycle_edges(6))) == (4, (1, 1, 1, 1, 1, 1))
     # pendant at a cycle vertex
-    w = unicyclic_bipartite_witness(build_graph(cycle_edges(6) + [(1, 7)]))
-    assert w.n == 7 - 1 - 3 + 1
+    n, _ = witness(build_graph(cycle_edges(6) + [(1, 7)]))
+    assert n == 7 - 1 - 3 + 1
     # pendant path of length 2: the support vertex gets promoted
-    w = unicyclic_bipartite_witness(build_graph(cycle_edges(6) + [(1, 7), (7, 8)]))
-    assert w.n == 8 - 1 - 3 + 1
-    assert w.alpha == (2, 1, 1, 1, 1, 1, 1, 0)
+    n, alpha = witness(build_graph(cycle_edges(6) + [(1, 7), (7, 8)]))
+    assert n == 8 - 1 - 3 + 1
+    assert alpha == (2, 1, 1, 1, 1, 1, 1, 0)
     # a 4-cycle works too, the witness is just not minimal
-    w = unicyclic_bipartite_witness(build_graph(cycle_edges(4)))
-    assert w.n == 3
+    assert witness(build_graph(cycle_edges(4))) == (3, (1, 1, 1, 1))
 
 
 def test_unicyclic_bipartite_witness_random():
@@ -223,11 +221,36 @@ def test_unicyclic_bipartite_witness_random():
             continue
         built += 1
         deep += max(distances_from(g, range(1, klen + 1)).values()) >= 3
-        w = unicyclic_bipartite_witness(g)  # checked against takayama_complex
-        assert w.n == g.r - sum(
+        n, _ = witness(g)  # checked against takayama_complex
+        assert n == g.r - sum(
             1 for u, v in g.edges if g.degree(u) == 1 or g.degree(v) == 1
         ) - klen // 2 + 1
     assert deep >= 8
+
+
+def test_witness_census_over_the_atlas():
+    # every connected graph on 2 to 6 vertices in networkx's graph atlas:
+    # the witness passes its check at a power no lower than dstab, and is
+    # at dstab on every tree and every unicyclic graph without a 4-cycle
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_graph([(u + 1, v + 1) for u, v in a.edges()])
+        for a in nx.graph_atlas_g()
+        if 2 <= a.number_of_nodes() <= 6 and nx.is_connected(a)
+    ]
+    assert len(graphs) == 142
+    at_dstab = 0
+    for g in graphs:
+        n, _ = witness(g)
+        oracle = dstab_oracle(g)
+        assert n >= oracle, g.edges
+        cycle = cycle_profile(g).unique_cycle
+        if g.num_edges < g.r or (cycle is not None and len(cycle) != 4):
+            assert n == oracle, g.edges
+        at_dstab += n == oracle
+    # 13 trees, 14 odd unicyclic graphs, C6, one graph with a 4-cycle and
+    # 23 of the 108 graphs with two or more cycles
+    assert at_dstab == 52
 
 
 def test_formula_attains_the_bound_on_trees_and_unicyclic_without_c4():
@@ -307,21 +330,21 @@ def test_every_hint_hit_is_a_witness():
 def test_wrong_hints_change_nothing(monkeypatch):
     graphs = [build_graph(edges) for edges in HINTED.values()]
     graphs += [build_graph(complete_edges(4)), build_graph(path_edges(5))]
-    for g in graphs:
+    for i, g in enumerate(graphs):
         want, plain = _certificates(g)
         bound = mt_bound(g)
         # all -1 gives the complex {emptyset} or the void one, index r or
-        # none; the others lie outside every box or have the wrong length
+        # none; the others lie outside every box or have the wrong length.
+        # Each graph takes one of them, in turn.
         wrong = [(-1,) * g.r, (bound + 9,) * g.r, (-2,) + (0,) * (g.r - 1), (0,) * (g.r + 1)]
-        monkeypatch.setattr(
-            stability, "_witness_hints", lambda g: {n: wrong for n in range(1, bound + 1)}
-        )
+        cell = wrong[i % len(wrong)]
+        monkeypatch.setattr(stability, "_witness", lambda g: (want, cell))
         got, hinted = _certificates(g)
         assert got == want
         assert [(n, c) for n, _, c in hinted] == [(n, c) for n, _, c in plain]
-        # hints are built at the first power a witness can have
-        assert hinted[-1][1] == wrong
-        assert all(hints in ((), wrong) and not c.hint_hit for _, hints, c in hinted)
+        # the cell goes to its own power only, and never hits
+        assert [hints for _, hints, _ in hinted] == [()] * (want - 1) + [[cell]]
+        assert not any(c.hint_hit for _, _, c in hinted)
 
 
 def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
@@ -331,7 +354,7 @@ def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
     c5_leaf = build_graph(cycle_edges(5) + [(1, 6)])
     bowtie = build_graph(cycle_edges(3) + [(1, 4), (4, 5), (1, 5)])
     want = {g: dstab_oracle(g) for g in (c5_leaf, bowtie)}
-    assert all(stability._witness_hints(g) for g in want)
+    assert all(stability._witness(g) for g in want)
 
     def no_full_state(g):
         raise NoFullStateError("no level-n state covers every vertex")
@@ -339,7 +362,8 @@ def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
     for module in (stability, assoc):
         monkeypatch.setattr(module, "full_cover_monomial", no_full_state)
     for g, n in want.items():
-        assert stability._witness_hints(g) == {}
+        with pytest.raises(NoFullStateError):
+            stability._witness(g)
         assert dstab_oracle(g) == n
     assert want[c5_leaf] == dstab_formula(c5_leaf).value and dstab_formula(c5_leaf).exact
 
