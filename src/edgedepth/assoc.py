@@ -202,9 +202,12 @@ def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     """For connected nonbipartite g: the full_cover_monomial of a spanning
     unicyclic subgraph H that keeps a maximum odd cycle; unchecked (see
     stability.witness).  Since I(H) is inside I(g), a witness for H is one
-    for g."""
+    for g.  A g with no odd cycle has no such H: NotUnicyclicNonbipartiteError,
+    as full_cover_monomial raises for a disconnected H."""
     cycles = simple_cycles(g)
     odd = [c for c in cycles if len(c) % 2 == 1]
+    if not odd:
+        raise NotUnicyclicNonbipartiteError("graph has no odd cycle to keep")
     best_len = max(len(c) for c in odd)
     cycle = min(c for c in odd if len(c) == best_len)
     return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle, cycles))

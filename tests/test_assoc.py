@@ -5,13 +5,21 @@ import random
 
 import pytest
 
-from conftest import complete_edges, cycle_edges, maximal_ideal, random_connected_graph
+from conftest import (
+    complete_edges,
+    cycle_edges,
+    maximal_ideal,
+    path_edges,
+    random_connected_graph,
+)
 from edgedepth.assoc import (
     MAX_LEVEL_MARGIN,
     CoverState,
     _spanning_unicyclic_keeping,
     ass_formula,
     cover_states,
+    full_cover_monomial,
+    spanning_unicyclic_monomial,
 )
 from edgedepth.errors import (
     LevelBelowStartError,
@@ -236,6 +244,16 @@ def test_spanning_unicyclic_takes_the_cycles_once():
         h = _spanning_unicyclic_keeping(g, cycle, cycles)
         assert h == _spanning_unicyclic_reference(g, cycle)
         assert is_unicyclic(h) and cycle_profile(h).unique_cycle == cycle
+
+
+def test_nonbipartite_bound_rejects_bipartite():
+    for build in (full_cover_monomial, spanning_unicyclic_monomial):
+        with pytest.raises(NotUnicyclicNonbipartiteError):
+            build(build_graph(cycle_edges(4)))
+        with pytest.raises(NotUnicyclicNonbipartiteError):
+            build(build_graph(path_edges(4)))
+        with pytest.raises(NotUnicyclicNonbipartiteError):  # disconnected
+            build(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
 
 
 def test_ass_sets_grow_with_n():

@@ -183,9 +183,20 @@ def test_mu_witness_random_bipartite_trees():
 
 def test_witness_rejects_disconnected():
     with pytest.raises(DisconnectedError):
+        witness(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
+    with pytest.raises(DisconnectedError):
+        witness(build_graph(cycle_edges(3) + path_edges(2, offset=3)))
+
+
+def test_mu_witness_rejects():
+    # mu(g) at e - e0 + 1 is the witness of a connected bipartite g only:
+    # a forest is refused, and C3 gets a depth-zero monomial instead
+    with pytest.raises(DisconnectedError):
         witness(build_graph(path_edges(2) + path_edges(2, offset=2)))
     with pytest.raises(DisconnectedError):
-        witness(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
+        witness(build_graph(star_edges(3) + path_edges(2, offset=4)))
+    n, alpha = witness(build_graph(cycle_edges(3)))
+    assert sum(alpha) == 2 * n - 1
 
 
 def test_unicyclic_bipartite_witness_cases():
