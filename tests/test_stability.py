@@ -13,6 +13,7 @@ from conftest import (
     star_edges,
 )
 from edgedepth import assoc, stability
+from edgedepth.depth import depth_power
 from edgedepth.errors import (
     DisconnectedError,
     NoFullStateError,
@@ -181,20 +182,18 @@ def test_mu_witness_random_bipartite_trees():
         ) + 1
 
 
-def test_witness_rejects_disconnected():
-    with pytest.raises(DisconnectedError):
-        witness(build_graph(cycle_edges(3) + cycle_edges(3, offset=3)))
-    with pytest.raises(DisconnectedError):
-        witness(build_graph(cycle_edges(3) + path_edges(2, offset=3)))
-
-
 def test_mu_witness_rejects():
     # mu(g) at e - e0 + 1 is the witness of a connected bipartite g only:
-    # a forest is refused, and C3 gets a depth-zero monomial instead
-    with pytest.raises(DisconnectedError):
-        witness(build_graph(path_edges(2) + path_edges(2, offset=2)))
-    with pytest.raises(DisconnectedError):
-        witness(build_graph(star_edges(3) + path_edges(2, offset=4)))
+    # a forest or any other disconnected graph is refused, and C3 gets a
+    # depth-zero monomial instead
+    for edges in [
+        path_edges(2) + path_edges(2, offset=2),
+        star_edges(3) + path_edges(2, offset=4),
+        cycle_edges(3) + cycle_edges(3, offset=3),
+        cycle_edges(3) + path_edges(2, offset=3),
+    ]:
+        with pytest.raises(DisconnectedError):
+            witness(build_graph(edges))
     n, alpha = witness(build_graph(cycle_edges(3)))
     assert sum(alpha) == 2 * n - 1
 
@@ -308,6 +307,7 @@ HINTED = {
     "C8": cycle_edges(8),
     "C6+leaf": cycle_edges(6) + [(1, 7)],
     "P7": path_edges(7),
+    "C4+2leaves": cycle_edges(4) + [(1, 5), (3, 6)],
 }
 
 
@@ -338,24 +338,30 @@ def test_every_hint_hit_is_a_witness():
             _assert_witness(cert, power(edge_ideal(g), n))
 
 
-def test_wrong_hints_change_nothing(monkeypatch):
+def test_wrong_hints_change_nothing():
     graphs = [build_graph(edges) for edges in HINTED.values()]
     graphs += [build_graph(complete_edges(4)), build_graph(path_edges(5))]
-    for i, g in enumerate(graphs):
+    for g in graphs:
         want, plain = _certificates(g)
-        bound = mt_bound(g)
+        bare = depth_power(g, want)
+        assert bare.depth == plain[-1][2].depth
         # all -1 gives the complex {emptyset} or the void one, index r or
-        # none; the others lie outside every box or have the wrong length.
-        # Each graph takes one of them, in turn.
-        wrong = [(-1,) * g.r, (bound + 9,) * g.r, (-2,) + (0,) * (g.r - 1), (0,) * (g.r + 1)]
-        cell = wrong[i % len(wrong)]
-        monkeypatch.setattr(stability, "_witness", lambda g: (want, cell))
-        got, hinted = _certificates(g)
+        # none: it is scanned and misses
+        miss = (-1,) * g.r
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_witness", lambda g: (want, miss))
+            got, hinted = _certificates(g)
         assert got == want
-        assert [(n, c) for n, _, c in hinted] == [(n, c) for n, _, c in plain]
-        # the cell goes to its own power only, and never hits
-        assert [hints for _, hints, _ in hinted] == [()] * (want - 1) + [[cell]]
+        assert [c for _, _, c in hinted] == [c for _, _, c in plain[:-1]] + [bare]
+        # the cell goes to its own power only, never hits, and costs one cell
+        assert [hints for _, hints, _ in hinted] == [()] * (want - 1) + [[miss]]
         assert not any(c.hint_hit for _, _, c in hinted)
+        assert hinted[-1][2].cells_scanned == bare.cells_scanned + 1
+        # cells outside every box or of the wrong length are dropped unscanned
+        for cell in [(mt_bound(g) + 9,) * g.r, (-2,) + (0,) * (g.r - 1), (0,) * (g.r + 1)]:
+            cert = depth_power(g, want, hints=[cell])
+            assert cert == bare and not cert.hint_hit
+            assert cert.cells_scanned == bare.cells_scanned
 
 
 def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
