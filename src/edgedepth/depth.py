@@ -23,16 +23,22 @@ minimal vertex covers.  That yields the facet description
 
 which is property-tested against the definition above.
 
-Both descriptions feed one scan.  A cell's complex is fixed by G_a and by
-the "atoms" the cell chooses.  For an arbitrary ideal the atoms are all
-vertex sets, the chosen ones are the generators' violation sets
-{i not in G_a : g_i > a_i}, and D_a is the subsets of [r] \\ G_a that
-contain none of them.  For bipartite g the atoms are the independence
-facets, chosen as above.  A cell's key is its negative support and its
-chosen atoms, and one evaluator (_least) is the only place where a key
-becomes an index.  It takes keys in position order and builds their
-complexes a batch at a time, as bitmaps over all 2^r vertex sets.  It takes
-homology once per distinct complex in a batch, key by key, and stops at the
+Both descriptions feed one scan, which holds each complex as a packed face
+bitmap: a row of W = max(1, 2^r / 64) uint64 words whose bit s says whether
+vertex set s is a face.  Read as little-endian bytes, the words are the key
+of the homology memo.  For an arbitrary ideal, D_a is the sets that contain
+no vertex of G_a and no violation set {i not in G_a : g_i > a_i} of a
+generator g, so the scan sets the bits of those sets, closes them upward
+and inverts (_violation_faces).  For bipartite g it sets the chosen facets,
+cut to the nonnegative support, and closes them downward (_facet_faces).
+Closing over a vertex v < 6 takes one shift and mask per word; over a
+higher vertex it ORs blocks of whole words (_close).
+
+A cell's index is |G_a| + 1 plus the least degree of nonzero reduced
+homology of D_a, so the pair (|G_a|, complex) is a key that fixes it.  One
+evaluator (_least) is the only place where a key becomes an index.  It
+takes keys in position order, with their complexes a batch at a time.  It
+takes homology once per distinct complex, key by key, and stops at the
 first key that reaches the floor below, so no later batch is built.  Its
 answer is the key of least (index, position).
 
@@ -49,17 +55,18 @@ box), as over the whole box, found in one of two ways:
 
 - The generator route scans the box in order, in chunks of cells, up to
   the first chunk that reaches the floor.  Each chunk's cells are grouped
-  into keys, each key standing at its first cell, and evaluated.  A box of
-  more than MAX_BOX_DEFAULT cells is refused (the box cap).
+  by (|G_a|, complex) into keys, each key standing at its first cell, and
+  evaluated.  A box of more than MAX_BOX_DEFAULT cells is refused (the box
+  cap).
 - The facet route walks the box one coordinate at a time (_walk).  Cells
   whose partial keys agree are merged into one state at each step: the
   negative support so far and each facet's weight outside it, capped at n.
   So the work follows the number of states, not (n + 1)^r, and C8 at
   n = 4 has 6,437 states over its layers against 390,625 cells.  Each
-  state keeps the least box prefix that reaches it, so the final keys come
-  in order of their least cell and are evaluated in that order.  A layer
-  whose candidate states would take more than MAX_STATE_BYTES is refused
-  (the state cap); there is no box cap.
+  state keeps the least box prefix that reaches it, so the final states
+  come in order of their least cell and are evaluated in that order, one
+  key each.  A layer whose candidate states would take more than
+  MAX_STATE_BYTES is refused (the state cap); there is no box cap.
 
 So a witness is the least box cell unless hint_hit is set.
 
@@ -200,36 +207,77 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
 # entries each cell or key takes.
 _CHUNK_BUDGET = 1 << 22
 _NO_VALUE = 1 << 32  # above every cohomological index
+_WORD = np.dtype("<u8")  # a row's words as bytes are its packbits bitmap
+# _LOW[v]: the bit positions p of a word for which bit v of p is clear
+_LOW = [np.uint64(sum(1 << p for p in range(64) if not p >> v & 1)) for v in range(6)]
 
 
-def _vertex_axes(faces: np.ndarray, r: int):
-    """Per vertex v, the views (sets without v, sets with v) of a (k, 2^r)
-    array indexed by vertex-set masks; pairs line up entry by entry."""
-    cube = faces.reshape((-1,) + (2,) * r)
-    for axis in range(1, r + 1):
-        view = cube.swapaxes(axis, -1)
-        yield view[..., 0], view[..., 1]
+def _pack_sets(rows: np.ndarray, sets: np.ndarray, k: int, r: int) -> np.ndarray:
+    """(k, W) face words, W = max(1, 2^r / 64), with set sets[i] in row
+    rows[i] (broadcast): vertex set s is bit s % 64 of word s // 64."""
+    width = max(64, 1 << r)
+    bits = np.zeros((k, width), dtype=bool)
+    bits.reshape(-1)[rows * width + sets] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
 
 
-def _face_bitmaps(
-    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, avoid: bool
-) -> np.ndarray:
-    """(k, 2^r) face indicators of the keys' complexes.  The chosen atoms,
-    cut to the nonnegative support, are closed downward; with avoid the
-    complex is instead the subsets of the nonnegative support that contain
-    no chosen atom."""
-    faces = np.zeros((len(neg), 1 << r), dtype=bool)
+def _close(words: np.ndarray, up: bool) -> np.ndarray:
+    """Close each row of words, in place, under supersets (up) or subsets
+    over every vertex the words span: six within a word, then one per
+    doubling of the words."""
+    k, w = words.shape
+    for v in range((64 * w).bit_length() - 1):
+        if v < 6:
+            shift = np.uint64(1 << v)
+            if up:
+                words |= (words & _LOW[v]) << shift
+            else:
+                words |= (words >> shift) & _LOW[v]
+        else:  # the words whose index has bit v - 6 against those without
+            blocks = words.reshape(k, -1, 2, 1 << (v - 6))
+            if up:
+                blocks[:, :, 1] |= blocks[:, :, 0]
+            else:
+                blocks[:, :, 0] |= blocks[:, :, 1]
+    return words
+
+
+def _violation_faces(gens: np.ndarray, sizes: Sequence[int]):
+    """The generator route's faces_of: alpha rows in the box to the face
+    words of D_a, the sets that contain no violation set
+    {i not in G_a : g_i > a_i} of a generator g and no vertex of G_a."""
+    r = gens.shape[1]
+    stype = np.min_scalar_type((1 << max(r, 6)) - 1)
+    # tables[i][a + 1]: bit i of each generator's violation set at a_i = a
+    tables = []
+    for i, s in enumerate(sizes):
+        table = (gens[:, i] > np.arange(-1, s - 1)[:, None]).astype(stype) << i
+        table[0] = 0  # no exponent exceeds a negative coordinate's stand-in
+        tables.append(table)
+    singles = (1 << np.arange(max(r, 6))).astype(stype)
+    full = np.array((1 << r) - 1, dtype=stype)
+
+    def faces_of(alpha: np.ndarray) -> np.ndarray:
+        masks = tables[0][alpha[:, 0] + 1]
+        for i in range(1, r):
+            masks |= tables[i][alpha[:, i] + 1]
+        # a vertex of G_a, or a bit past r < 6, is a violation set of its
+        # own; [r] stands in elsewhere, as it holds every violation set
+        neg = np.ones((len(alpha), len(singles)), dtype=bool)
+        neg[:, :r] = alpha < 0
+        sets = np.hstack([masks, np.where(neg, singles, full)])
+        words = _close(_pack_sets(np.arange(len(alpha))[:, None], sets, len(alpha), r), up=True)
+        return np.invert(words, out=words)
+
+    return faces_of
+
+
+def _facet_faces(neg: np.ndarray, chosen: np.ndarray, tops: np.ndarray, r: int) -> np.ndarray:
+    """The facet route's face words of the keys (neg[i], chosen[i]): the
+    chosen facets (vertex sets tops), cut to the nonnegative support,
+    closed downward."""
     rows, cols = np.nonzero(chosen)
-    faces[rows, atoms[cols] & ~neg[rows]] = True
-    for without, with_v in _vertex_axes(faces, r):
-        if avoid:
-            with_v |= without
-        else:
-            without |= with_v
-    if avoid:
-        np.logical_not(faces, out=faces)
-        faces &= (np.arange(1 << r) & neg[:, None]) == 0
-    return faces
+    return _close(_pack_sets(rows, tops[cols] & ~neg[rows], len(neg), r), up=False)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -243,32 +291,34 @@ def _homology(key: bytes, field: FieldChoice) -> tuple[Optional[int], int]:
     return min_nonvanishing_reduced_homology(cx, field=field)
 
 
-def _least(
-    neg: np.ndarray, chosen: np.ndarray, atoms: np.ndarray, r: int, avoid: bool,
-    field: FieldChoice, floor: int,
-) -> tuple[int, int, int]:
+def _keys(faces) -> Iterator[bytes]:
+    """The homology key of each row of each word array in faces: its bytes
+    with the trailing zero bytes dropped."""
+    for words in faces:
+        data, step = words.tobytes(), words.itemsize * words.shape[1]
+        for off in range(0, len(data), step):
+            yield data[off:off + step].rstrip(b"\0")
+
+
+def _least(counts: list[int], faces, field: FieldChoice, floor: int) -> tuple[int, int, int]:
     """(value, position, homology dim) of the key of least (value, position)
-    among the keys (neg[i], chosen[i]), given in position order; a key's
-    value is |neg| + 1 plus the least degree of nonzero reduced homology of
-    its complex (_face_bitmaps), and _NO_VALUE when no key has any.  The
-    complexes are built in batches of at most _CHUNK_BUDGET array entries,
-    and homology is taken once per distinct complex in a batch, key by key,
-    up to the first key that reaches the floor: none lies below it."""
-    counts = ((neg[:, None] >> np.arange(r)) & 1).sum(axis=1)
+    among keys given in position order.  Key i is |G_a| = counts[i] and the
+    complex in row i of faces, an iterable of face word arrays that is read
+    one array (batch) at a time.  A key's value is |G_a| + 1 plus the least
+    degree of nonzero reduced homology of its complex, and _NO_VALUE when no
+    key has any.  Homology is taken once per distinct complex, key by key,
+    up to the first key that reaches the floor: none lies below it, and no
+    later batch is read."""
     best = (_NO_VALUE, 0, 0)
-    batch = max(1, _CHUNK_BUDGET // (len(atoms) + (1 << r)))
-    for off in range(0, len(neg), batch):
-        faces = _face_bitmaps(neg[off:off + batch], chosen[off:off + batch], atoms, r, avoid)
-        found: dict[bytes, tuple[Optional[int], int]] = {}
-        for i, row in enumerate(np.packbits(faces, axis=1, bitorder="little"), off):
-            key = row.tobytes().rstrip(b"\0")
-            if key not in found:
-                found[key] = _homology(key, field)
-            d, h = found[key]
-            if d is not None and counts[i] + 1 + d < best[0]:  # an earlier key wins a tie
-                best = (int(counts[i]) + 1 + d, i, h)
-                if best[0] <= floor:
-                    return best
+    found: dict[bytes, tuple[Optional[int], int]] = {}
+    for i, key in enumerate(_keys(faces)):
+        if key not in found:
+            found[key] = _homology(key, field)
+        d, h = found[key]
+        if d is not None and counts[i] + 1 + d < best[0]:  # an earlier key wins a tie
+            best = (counts[i] + 1 + d, i, h)
+            if best[0] <= floor:
+                return best
     return best
 
 
@@ -282,24 +332,22 @@ def _first_rows(words: np.ndarray) -> np.ndarray:
 
 
 def _least_cell(
-    alpha: np.ndarray, atoms: np.ndarray, chosen_of, avoid: bool, field: FieldChoice, floor: int
+    alpha: np.ndarray, faces_of, field: FieldChoice, floor: int
 ) -> tuple[int, tuple[int, ...], int]:
     """(value, alpha row, homology dim) of the row of least (value, position)
     among the rows of alpha, of which there is at least one.  A cell's key
-    is its negative support and the atoms chosen_of(alpha) picks for it (a
-    boolean row per cell); each key stands at its first cell, and the keys
-    go to _least in that order."""
-    r = alpha.shape[1]
-    neg = (alpha < 0) @ (1 << np.arange(r, dtype=np.int64))
-    chosen = chosen_of(alpha)
-    first = _first_rows(np.hstack([neg[:, None].view(np.uint8), np.packbits(chosen, axis=1)]))
-    value, i, hdim = _least(neg[first], chosen[first], atoms, r, avoid, field, floor)
+    is |G_a| and its complex, the row faces_of(alpha) gives it; each key
+    stands at its first cell, and the keys go to _least in that order."""
+    counts = (alpha < 0).sum(axis=1)
+    faces = faces_of(alpha)
+    first = _first_rows(np.hstack([counts[:, None].astype(_WORD), faces]))
+    value, i, hdim = _least(counts[first].tolist(), [faces[first]], field, floor)
     return value, tuple(int(e) for e in alpha[first[i]]), hdim
 
 
 def _scan(
-    sizes: Sequence[int], hints: Sequence[Sequence[int]], atoms: np.ndarray, chosen_of,
-    avoid: bool, field: FieldChoice, floor: int, search,
+    sizes: Sequence[int], hints: Sequence[Sequence[int]], faces_of, field: FieldChoice,
+    floor: int, search,
 ) -> DepthCertificate:
     """The certificate of a scan of the box, coordinate j ranging over
     -1 .. sizes[j] - 2.  The hint cells inside the box go first, through
@@ -313,7 +361,7 @@ def _scan(
     ]
     best = (_NO_VALUE, (), 0)
     if inside:
-        best = _least_cell(np.array(inside, dtype=np.int16), atoms, chosen_of, avoid, field, floor)
+        best = _least_cell(np.array(inside, dtype=np.int16), faces_of, field, floor)
     hit, scanned = best[0] <= floor, len(inside)
     if not hit:
         best, searched = search()
@@ -334,7 +382,7 @@ def _scan(
 
 
 def _box_search(
-    sizes: Sequence[int], width: int, atoms: np.ndarray, chosen_of, field: FieldChoice, floor: int
+    sizes: Sequence[int], width: int, faces_of, field: FieldChoice, floor: int
 ) -> tuple[tuple[int, tuple[int, ...], int], int]:
     """The generator route's search: the box in chunks of cells, in order,
     up to the first chunk that reaches the floor; width is the per-cell
@@ -351,7 +399,7 @@ def _box_search(
         cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
         scanned += len(cells)
         alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
-        found = _least_cell(alpha, atoms, chosen_of, True, field, floor)
+        found = _least_cell(alpha, faces_of, field, floor)
         if found[0] < best[0]:  # an earlier chunk wins a tie
             best = found
         if best[0] <= floor:
@@ -382,7 +430,7 @@ def _pack(neg: np.ndarray, fields: np.ndarray, slots: list[tuple[int, int]], k: 
 
 
 def _walk(
-    outside: np.ndarray, n: int, atoms: np.ndarray, field: FieldChoice, floor: int
+    outside: np.ndarray, n: int, tops: np.ndarray, field: FieldChoice, floor: int
 ):
     """The facet route's search: the box (n + 1)^r one coordinate at a
     time over merged states.
@@ -391,19 +439,20 @@ def _walk(
     and each facet's weight outside it, capped at n; a negative coordinate
     outside a facet sets that weight to n.  The final key is the negative
     support and the facets of weight at most n - 1, which is what
-    chosen_facets picks.  A layer's candidates are its states' extensions,
-    state by state in order, the coordinate's value -1 .. n - 1 varying
-    fastest, and only the first occurrence of each distinct candidate is
-    kept.  By induction each state is then kept in the order of, and with
+    _power_scan picks for a hint cell.  A layer's candidates are its
+    states' extensions, state by state in order, the coordinate's value
+    -1 .. n - 1 varying fastest, and only the first occurrence of each
+    distinct candidate is kept.  By induction each state is then kept in the order of, and with
     back-pointers to, the least box prefix that reaches it, so the final
     keys come in order of their least cell, and the least cell of a key
     reaches it through its back-pointers.  The final keys go to _least in
-    that order.
+    that order, their complexes built a batch at a time as _least reads
+    them.
 
-    outside[f, j] says vertex j + 1 is outside facet f.  Returns the best
-    (value, cell, homology dim) and the live states summed over the layers.
-    A layer whose candidates' packed keys would take more than
-    MAX_STATE_BYTES raises TooLargeError."""
+    outside[f, j] says vertex j + 1 is outside facet f, and facet f is the
+    vertex set tops[f].  Returns the best (value, cell, homology dim) and
+    the live states summed over the layers.  A layer whose candidates'
+    packed keys would take more than MAX_STATE_BYTES raises TooLargeError."""
     n_facets, r = outside.shape
     wtype = np.min_scalar_type(2 * n)  # holds a weight plus an addend
     outside = outside.astype(wtype)
@@ -430,7 +479,14 @@ def _walk(
         parent, digit = np.divmod(first, n + 1)
         weights = np.minimum(weights[parent] + np.array(adds, dtype=wtype)[digit, None] * outside[:, j], n)
         neg = neg[parent] | ((digit == 0).astype(np.uint64) << np.uint64(j))
-    value, i, hdim = _least(neg.astype(np.int64), weights < n, atoms, r, False, field, floor)
+    counts = ((neg[:, None] >> np.arange(r, dtype=np.uint64)) & np.uint64(1)).sum(axis=1).tolist()
+    neg, chosen = neg.astype(np.int64), weights < n
+    batch = max(1, _CHUNK_BUDGET // (n_facets + max(64, 1 << r)))  # chosen, unpacked bits
+    faces = (
+        _facet_faces(neg[off:off + batch], chosen[off:off + batch], tops, r)
+        for off in range(0, len(neg), batch)
+    )
+    value, i, hdim = _least(counts, faces, field, floor)
     cell = np.zeros(r, dtype=np.int16)
     for j in range(r - 1, -1, -1):
         i, cell[j] = divmod(int(layers[j][i]), n + 1)
@@ -438,10 +494,10 @@ def _walk(
 
 
 def depth_bruteforce(ideal: MonomialIdeal, field: FieldChoice = QQ) -> DepthCertificate:
-    """Exact depth of R/I by scanning the multidegree box.  The atoms are
-    all vertex sets; a cell chooses the violation sets of the generators,
-    and its complex avoids them.  The floor is 0, the least index any cell
-    can have, so the witness is the least cell of the whole box."""
+    """Exact depth of R/I by scanning the multidegree box, each cell's
+    complex built from the violation sets of the generators
+    (_violation_faces).  The floor is 0, the least index any cell can
+    have, so the witness is the least cell of the whole box."""
     return _ideal_scan(ideal, field, (), floor=0)
 
 
@@ -458,23 +514,14 @@ def _ideal_scan(
     if r > MAX_VERTICES_DEFAULT:  # before any 2^r array
         raise TooLargeError(f"depth scan of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     gens = gens_array(ideal)
-
-    def violations(alpha: np.ndarray) -> np.ndarray:
-        # no exponent exceeds a negative coordinate's stand-in
-        a = np.where(alpha < 0, np.iinfo(np.int16).max, alpha)
-        masks = np.zeros((len(a), len(gens)), dtype=np.int32)
-        for i in range(r):
-            masks |= np.left_shift(gens[:, i] > a[:, i, None], i, dtype=np.int32)
-        chosen = np.zeros((len(a), 1 << r), dtype=bool)
-        np.put_along_axis(chosen, masks, True, axis=1)
-        return chosen
-
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
-    atoms = np.arange(1 << r)
-    width = len(gens) + (2 << r)  # violation masks, chosen sets, face bitmaps
+    faces_of = _violation_faces(gens, sizes)
+    # per cell: a violation mask per generator, 2^r unpacked bits, and 2^r
+    # more as a bound on the packed words and keys
+    width = len(gens) + (2 << r)
     return _scan(
-        sizes, hints, atoms, violations, True, field, floor,
-        lambda: _box_search(sizes, width, atoms, violations, field, floor),
+        sizes, hints, faces_of, field, floor,
+        lambda: _box_search(sizes, width, faces_of, field, floor),
     )
 
 
@@ -486,11 +533,11 @@ def depth_power(
 ) -> DepthCertificate:
     """depth R/I(g)^n; hints are cells to try first (see _scan).
 
-    For bipartite g the atoms are the facets of the independence complex,
-    and a cell chooses those that contain G_a and have alpha-weight at most
-    n - 1 outside them.  The floor there is 1: I(g)^n equals its symbolic
-    power, so the maximal ideal is never associated.  Otherwise the scan
-    runs on the generators of the power, with floor 0."""
+    For bipartite g a cell's complex is generated by the facets of the
+    independence complex that contain G_a and have alpha-weight at most
+    n - 1 outside them, less G_a.  The floor there is 1: I(g)^n equals its
+    symbolic power, so the maximal ideal is never associated.  Otherwise
+    the scan runs on the generators of the power, with floor 0."""
     return _power_scan(g, n, field, hints, floor=0)
 
 
@@ -509,17 +556,19 @@ def _power_scan(
     if decompose(g).t:
         return _ideal_scan(power(edge_ideal(g), n), field, hints, floor)
     facets = maximal_independent_sets(g)
-    atoms = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
+    tops = np.array([sum(1 << (v - 1) for v in f) for f in facets], dtype=np.int64)
     outside = np.array([[v not in f for v in g.vertices] for f in facets], dtype=np.int64)
 
-    def chosen_facets(alpha: np.ndarray) -> np.ndarray:
+    def faces_of(alpha: np.ndarray) -> np.ndarray:
+        neg = (alpha < 0) @ (1 << np.arange(g.r))
         # a negative coordinate outside a facet outweighs n - 1 on its own
-        return np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
+        chosen = np.where(alpha < 0, n, alpha).astype(np.int64) @ outside.T <= n - 1
+        return _facet_faces(neg, chosen, tops, g.r)
 
     floor = max(floor, 1)
     return _scan(
-        [n + 1] * g.r, hints, atoms, chosen_facets, False, field, floor,
-        lambda: _walk(outside, n, atoms, field, floor),
+        [n + 1] * g.r, hints, faces_of, field, floor,
+        lambda: _walk(outside, n, tops, field, floor),
     )
 
 

@@ -216,6 +216,89 @@ def test_packed_bitmap_homology_matches_facet_route():
             assert _homology(key, field) == min_nonvanishing_reduced_homology(cx, field)
 
 
+def _face_masks(row):
+    """The vertex-set masks a row of face words holds."""
+    return set(np.flatnonzero(np.unpackbits(np.frombuffer(row.tobytes(), np.uint8),
+                                            bitorder="little")).tolist())
+
+
+def _global_masks(cx):
+    """A complex's faces as masks over [r], bit v - 1 for vertex v."""
+    return {sum(1 << (cx.universe[j] - 1) for j in range(len(cx.universe)) if s >> j & 1)
+            for s in cx.faces}
+
+
+def test_packed_faces_match_the_definition():
+    # r = 1..10: bitmaps inside one byte, inside one word, exactly one word
+    # (r = 6), and across words (vertices 6 and up close whole words)
+    rng = random.Random(71)
+    for r in range(1, 11):
+        words_per_row = max(1, (1 << r) // 64)
+        # the generator route against takayama_complex
+        ideal = random_ideal(rng, r, max_gens=8, max_deg=4)
+        gens = depth.gens_array(ideal)
+        sizes = [int(e) + 1 for e in gens.max(axis=0)]
+        alpha = np.array([[rng.randint(-1, s - 2) for s in sizes] for _ in range(12)],
+                         dtype=np.int16)
+        alpha[0] = -1
+        if r > 6:  # a negative coordinate on a vertex that closes whole words
+            alpha[1:4, 6:] = -1
+        faces = depth._violation_faces(gens, sizes)(alpha)
+        assert faces.shape == (len(alpha), words_per_row)
+        for a, row in zip(alpha, faces):
+            want = _global_masks(takayama_complex(ideal, a))
+            assert _face_masks(row) == want
+            bitmap = np.isin(np.arange(1 << r), list(want))
+            packed = np.packbits(bitmap, bitorder="little").tobytes()
+            assert row.tobytes() == packed.ljust(8 * words_per_row, b"\0")
+        # the facet route against from_facets: chosen atoms cut to the
+        # nonnegative support, negative vertices at 6 and up included
+        atoms = np.array([rng.randrange(1 << r) for _ in range(6)], dtype=np.int64)
+        neg = np.array([rng.randrange(1 << r) & rng.randrange(1 << r) for _ in range(12)])
+        neg[:3] |= (1 << r) - 64 if r > 6 else 0
+        chosen = np.array([[rng.random() < 0.5 for _ in atoms] for _ in neg])
+        faces = depth._facet_faces(neg, chosen, atoms, r)
+        for m, pick, row in zip(neg, chosen, faces):
+            tops = [int(t) & ~int(m) for t in atoms[pick]]
+            facets = [[v + 1 for v in range(r) if t >> v & 1] for t in tops]
+            cx = from_facets(range(1, r + 1), facets)
+            assert _face_masks(row) == cx.faces
+
+
+def test_walk_builds_complexes_in_bounded_batches(monkeypatch):
+    # a facet walk packs its final keys' complexes a batch at a time.  C6
+    # at n = 4 has its first key at the floor (depth 1) at position 105 of
+    # 120, so the batch holding it is the last one packed; C8 at n = 3 has
+    # depth 2, and every batch is packed.
+    cases = [(build_graph(cycle_edges(6)), 4, 1), (build_graph(cycle_edges(8)), 3, 2)]
+    wants = [depth_power(g, n) for g, n, _ in cases]
+    monkeypatch.setattr(depth, "_CHUNK_BUDGET", 1 << 10)
+    packed, keys = [], []
+    pack_sets, least = depth._pack_sets, depth._least
+
+    def spy_pack(rows, sets, k, r):
+        packed.append(k)
+        return pack_sets(rows, sets, k, r)
+
+    def spy_least(counts, faces, field, floor):
+        out = least(counts, faces, field, floor)
+        keys.append((len(counts), out[1]))
+        return out
+
+    monkeypatch.setattr(depth, "_pack_sets", spy_pack)
+    monkeypatch.setattr(depth, "_least", spy_least)
+    for (g, n, want_depth), want in zip(cases, wants):
+        packed.clear(), keys.clear()
+        assert depth_power(g, n) == want and want.depth == want_depth
+        batch = (1 << 10) // (len(maximal_independent_sets(g)) + max(64, 1 << g.r))
+        [(n_keys, at)] = keys
+        assert max(packed) <= batch and len(packed) >= 2
+        if want_depth == 1:
+            assert len(packed) == at // batch + 1 and sum(packed) < n_keys
+        else:
+            assert sum(packed) == n_keys
+
+
 def test_depth_c3_powers():
     c3 = build_graph(cycle_edges(3))
     assert depth_sequence(c3, 2) == [1, 0]
