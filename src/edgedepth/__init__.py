@@ -17,7 +17,6 @@ from .stability import (
     depth_sequence,
     dstab_formula,
     dstab_oracle,
-    dstab_tree,
     dstab_unicyclic,
     mt_bound,
     witness,
@@ -48,7 +47,6 @@ __all__ = [
     "depth_limit",
     "dstab_formula",
     "dstab_oracle",
-    "dstab_tree",
     "dstab_unicyclic",
     "mt_bound",
     "witness",

@@ -8,8 +8,9 @@ moves j into R and pulls N(j) into B.  Ass(R/I^n) is the set of minimal
 covers together with the primes on R_n + B_n + V for each reachable level-n
 state and each minimal completion V to a vertex cover.  A level-n state
 whose R + B is every vertex gives a monomial d with (I^n : d) = m
-(full_cover_monomial), the depth-zero witness that stability.witness
-checks.
+(full_cover_monomial).  Taken on a spanning unicyclic subgraph
+(spanning_unicyclic_monomial), it is every connected nonbipartite graph's
+depth-zero witness, which stability.witness checks.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .graphs import (
     induced_subgraph,
     is_unicyclic,
     minimal_vertex_covers,
-    simple_cycles,
 )
 from .monomials import Monomial
 
@@ -176,18 +176,16 @@ def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
     return {(min(a, b), max(a, b)) for a, b in pairs}
 
 
-def _spanning_unicyclic_keeping(
-    g: Graph, cycle: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]
-) -> Graph:
+def _spanning_unicyclic_keeping(g: Graph, cycle: tuple[int, ...]) -> Graph:
     """Delete edges off the given cycle until the graph is unicyclic,
     preferring deletions whose endpoints both keep degree >= 3.
 
-    cycles are g's simple cycles in simple_cycles order.  Those whose edges
-    all survive are the cycles of what is left, in the same order, so each
+    g's cycles whose edges all survive (cycle_profile, in simple_cycles
+    order) are the cycles of what is left, in the same order, so each
     round takes the first of them with an edge off the kept cycle."""
     edges = set(g.edges)
     keep = _cycle_edges(cycle)
-    rings = [_cycle_edges(c) for c in cycles]
+    rings = [_cycle_edges(c) for c in cycle_profile(g).cycles]
     while len(edges) > g.r:
         extra = next((sorted(ce - keep) for ce in rings if ce <= edges and ce - keep), None)
         if extra is None:
@@ -200,14 +198,15 @@ def _spanning_unicyclic_keeping(
 
 def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
     """For connected nonbipartite g: the full_cover_monomial of a spanning
-    unicyclic subgraph H that keeps a maximum odd cycle; unchecked (see
-    stability.witness).  Since I(H) is inside I(g), a witness for H is one
-    for g.  A g with no odd cycle has no such H: NotUnicyclicNonbipartiteError,
+    unicyclic subgraph H that keeps g's least maximum odd cycle; unchecked
+    (see stability.witness).  Since I(H) is inside I(g), a witness for H is
+    one for g.  A unicyclic g is its own H, and equal graphs share their
+    cycle_profile entry, so g's cycles are listed once and H's at most once
+    more.  A g with no odd cycle has no such H: NotUnicyclicNonbipartiteError,
     as full_cover_monomial raises for a disconnected H."""
-    cycles = simple_cycles(g)
-    odd = [c for c in cycles if len(c) % 2 == 1]
-    if not odd:
+    prof = cycle_profile(g)
+    if prof.max_odd_len is None:
         raise NotUnicyclicNonbipartiteError("graph has no odd cycle to keep")
-    best_len = max(len(c) for c in odd)
-    cycle = min(c for c in odd if len(c) == best_len)
-    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle, cycles))
+    # cycles are sorted by (length, vertices), so the first is the least
+    cycle = next(c for c in prof.cycles if len(c) == prof.max_odd_len)
+    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle))

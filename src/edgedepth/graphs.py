@@ -22,7 +22,12 @@ from .errors import (
 )
 
 MAX_VERTICES_DEFAULT = 16
-CYCLE_CACHE_ENTRIES = 256
+
+# Entries kept by each memo of a graph or an ideal (cycle_profile here,
+# monomials.power and monomials.gens_array), least recently used first out,
+# so a long-running process stays bounded.  One pass of a bench/ workload
+# (many CLI jobs in one process) fills at most 54, so it meets no extra miss.
+CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,9 @@ def mu_vector(g: Graph) -> tuple[int, ...]:
 
 def simple_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All simple cycles, each listed once as a vertex tuple starting at its
-    smallest vertex with the lexicographically smaller direction."""
+    smallest vertex with the lexicographically smaller direction, sorted by
+    length and then by vertices.  Read it through cycle_profile, which
+    caches it."""
     if g.r > MAX_VERTICES_DEFAULT:
         raise TooLargeError(f"cycles of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
     cycles: list[tuple[int, ...]] = []
@@ -217,28 +224,32 @@ def simple_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CycleProfile:
-    kind: str  # "tree" (acyclic), "unicyclic", "general"
-    unique_cycle: Optional[tuple[int, ...]]
+    cycles: tuple[tuple[int, ...], ...]  # simple_cycles(g)
     max_even_len: Optional[int]
     max_odd_len: Optional[int]
 
+    @property
+    def kind(self) -> str:
+        """tree (acyclic), unicyclic or general."""
+        if not self.cycles:
+            return "tree"
+        return "unicyclic" if len(self.cycles) == 1 else "general"
 
-@lru_cache(maxsize=CYCLE_CACHE_ENTRIES)
+    @property
+    def unique_cycle(self) -> Optional[tuple[int, ...]]:
+        return self.cycles[0] if len(self.cycles) == 1 else None
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
 def cycle_profile(g: Graph) -> CycleProfile:
-    """What the formulas read off g's simple cycles.  Cached, so that the
-    formula, the bound and the oracle enumerate a graph's cycles once."""
+    """g's simple cycles and what the formulas read off them.  Cached, and
+    the one caller of simple_cycles, so that the formula, the bound, the
+    oracle and the witness's spanning subgraph list a graph's cycles once."""
     cycles = simple_cycles(g)
     evens = [len(c) for c in cycles if len(c) % 2 == 0]
     odds = [len(c) for c in cycles if len(c) % 2 == 1]
-    if not cycles:
-        kind = "tree"
-    elif len(cycles) == 1:
-        kind = "unicyclic"
-    else:
-        kind = "general"
     return CycleProfile(
-        kind=kind,
-        unique_cycle=cycles[0] if len(cycles) == 1 else None,
+        cycles=cycles,
         max_even_len=max(evens) if evens else None,
         max_odd_len=max(odds) if odds else None,
     )
@@ -259,10 +270,6 @@ def component_bound(g: Graph) -> int:
     edges, k = component_k): its dstab is at most this, with equality for
     a tree and for a unicyclic graph without a 4-cycle."""
     return g.r - leaf_edges(g) - component_k(g) + 1
-
-
-def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.num_edges == g.r - 1
 
 
 def is_unicyclic(g: Graph) -> bool:

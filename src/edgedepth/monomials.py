@@ -15,14 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import TooLargeError
-from .graphs import Graph
+from .graphs import CACHE_ENTRIES, Graph
 
 Monomial = tuple[int, ...]
-
-# Entries kept by each memo below, least recently used first out, so a
-# long-running process stays bounded.  One pass of a bench/ workload (many
-# CLI jobs in one process) fills at most 54, so it meets no extra miss.
-CACHE_ENTRIES = 256
 
 # Cells per chunk of the colon scan.  A chunk holds a few (cells, words)
 # uint64 bitsets per variable; much larger chunks raise the peak RSS.

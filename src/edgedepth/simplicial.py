@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import TooLargeError
+from .graphs import MAX_VERTICES_DEFAULT
 
 MAX_FACES_DEFAULT = 1 << 20
-# Homology by ranks only up to this many faces: every complex on at most 16
-# vertices, the vertex cap of the depth scan, passes.
-MAX_RANK_FACES = 1 << 16
+# Homology by ranks only up to this many faces: every complex on at most
+# the vertex cap of the depth scan passes.
+MAX_RANK_FACES = 1 << MAX_VERTICES_DEFAULT
 
 
 @dataclass(frozen=True)

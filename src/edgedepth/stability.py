@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
-from .assoc import full_cover_monomial, spanning_unicyclic_monomial
+from .assoc import spanning_unicyclic_monomial
 from .depth import (
     DepthCertificate,
     depth_power,
@@ -38,7 +38,6 @@ from .errors import (
     DisconnectedError,
     InternalError,
     NoFullStateError,
-    NotTreeError,
     NotUnicyclicError,
     TooLargeError,
     WitnessCheckFailedError,
@@ -51,7 +50,6 @@ from .graphs import (
     decompose,
     distances_from,
     induced_subgraph,
-    is_tree,
     is_unicyclic,
     leaf_edges,
     mu_vector,
@@ -70,12 +68,6 @@ def mt_bound(g: Graph) -> int:
     bound terms composed as a disjoint union."""
     terms = [component_bound(induced_subgraph(g, comp)[0]) for comp in decompose(g).components]
     return sum(terms) - len(terms) + 1
-
-
-def dstab_tree(g: Graph) -> int:
-    if not is_tree(g):
-        raise NotTreeError("graph is not a connected acyclic graph")
-    return component_bound(g)
 
 
 @dataclass(frozen=True)
@@ -174,13 +166,13 @@ def _witness(g: Graph) -> tuple[int, tuple[int, ...]]:
     witness); the one place where g's class picks its witness.
 
     A nonbipartite g gets the exponent of a monomial f with (I^n : f) = m,
-    of index 0 (D = {emptyset}): from the cover walk when g is unicyclic,
-    else from a spanning unicyclic subgraph.  A bipartite unicyclic g gets
-    the peeled alpha at component_bound(g), and any other bipartite g gets
-    mu(g) at e - e0 + 1, which is component_bound(g) for a tree; both are
-    of index 1 (D = <X, Y>)."""
+    of index 0 (D = {emptyset}): the cover walk's, on a spanning unicyclic
+    subgraph that keeps a longest odd cycle (g itself when g is unicyclic).
+    A bipartite unicyclic g gets the peeled alpha at component_bound(g), and
+    any other bipartite g gets mu(g) at e - e0 + 1, which is
+    component_bound(g) for a tree; both are of index 1 (D = <X, Y>)."""
     if decompose(g).t:
-        return full_cover_monomial(g) if is_unicyclic(g) else spanning_unicyclic_monomial(g)
+        return spanning_unicyclic_monomial(g)
     if is_unicyclic(g):
         return component_bound(g), _prop_alpha_unicyclic(g, cycle_profile(g).unique_cycle)
     return g.num_edges - leaf_edges(g) + 1, mu_vector(g)

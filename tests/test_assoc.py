@@ -237,11 +237,10 @@ def test_spanning_unicyclic_takes_the_cycles_once():
         if decompose(g).t and g.num_edges >= g.r + 2:  # two deletions at least
             graphs.append(g)
     for g in graphs:
-        cycles = simple_cycles(g)
-        odd = [c for c in cycles if len(c) % 2]
+        odd = [c for c in simple_cycles(g) if len(c) % 2]
         longest = max(len(c) for c in odd)
         cycle = min(c for c in odd if len(c) == longest)
-        h = _spanning_unicyclic_keeping(g, cycle, cycles)
+        h = _spanning_unicyclic_keeping(g, cycle)
         assert h == _spanning_unicyclic_reference(g, cycle)
         assert is_unicyclic(h) and cycle_profile(h).unique_cycle == cycle
 

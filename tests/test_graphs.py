@@ -26,7 +26,6 @@ from edgedepth.graphs import (
     decompose,
     distances_from,
     induced_subgraph,
-    is_tree,
     is_unicyclic,
     leaf_edges,
     maximal_independent_sets,
@@ -146,8 +145,6 @@ def test_cycle_cap():
 
 
 def test_tree_unicyclic_predicates():
-    assert is_tree(build_graph(path_edges(5)))
-    assert not is_tree(build_graph(cycle_edges(4)))
     assert is_unicyclic(build_graph(cycle_edges(4)))
     assert not is_unicyclic(build_graph(path_edges(4) + path_edges(3, offset=4)))
 

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
 module in src/ takes an underscore name from another, every size cap
 names itself when it refuses, every memo in src/ is bounded, and every
-parameter in src/ is read."""
+parameter in src/ is read; only graphs.cycle_profile lists cycles."""
 from __future__ import annotations
 
 import ast
@@ -266,3 +266,44 @@ def test_every_parameter_is_read():
         for problem in unread_parameters(source):
             bad.append(f"{path.relative_to(ROOT)} {problem}")
     assert bad == [] and count >= 50
+
+
+def readers(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, where) of every read of name, bare or as an attribute, where
+    is the dotted path of the defs around it ("<module>" at the top level);
+    a call and any other read count alike."""
+    found = []
+
+    def visit(node: ast.AST, where: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where += (node.name,)
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.append((node.lineno, ".".join(where) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_readers_detected():
+    src = (
+        "from .graphs import simple_cycles\n"
+        "def profile(g):\n    return simple_cycles(g)\n"
+        "class A:\n    def f(self, g):\n        listing = graphs.simple_cycles\n"
+        "        return [len(c) for c in listing(g)]\n"
+        "simple_cycles = None\nrings = map(len, simple_cycles)\n"
+    )
+    assert readers(src, "simple_cycles") == [(3, "profile"), (6, "A.f"), (9, "<module>")]
+
+
+def test_cycles_are_listed_only_by_cycle_profile():
+    # every cycle fact, and the witness's spanning subgraph, reads the one
+    # cached listing, so no graph has its cycles listed twice
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for _, where in readers(path.read_text(encoding="utf-8"), "simple_cycles"):
+            found.append((path.relative_to(ROOT / "src").as_posix(), where))
+    assert found == [("edgedepth/graphs.py", "cycle_profile")]

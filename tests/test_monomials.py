@@ -21,9 +21,8 @@ from conftest import (
     variable_ideal,
 )
 from edgedepth.depth import _homology
-from edgedepth.graphs import CYCLE_CACHE_ENTRIES, build_graph, cycle_profile
+from edgedepth.graphs import CACHE_ENTRIES, build_graph, cycle_profile
 from edgedepth.monomials import (
-    CACHE_ENTRIES,
     COLON_CHUNK_CELLS,
     MonomialIdeal,
     associated_primes_bruteforce,
@@ -283,9 +282,9 @@ def test_caches_are_bounded():
     assert gens_array.cache_info().currsize <= CACHE_ENTRIES
     chords = [(u, v) for u in range(1, 7) for v in range(u + 2, 7)]  # off the path P6
     picks = itertools.product((False, True), repeat=len(chords))
-    for extra in itertools.islice(picks, CYCLE_CACHE_ENTRIES + 10):
+    for extra in itertools.islice(picks, CACHE_ENTRIES + 10):
         cycle_profile(build_graph(path_edges(6) + list(itertools.compress(chords, extra))))
-    assert cycle_profile.cache_info().currsize <= CYCLE_CACHE_ENTRIES
+    assert cycle_profile.cache_info().currsize <= CACHE_ENTRIES
     assert _homology.cache_info().maxsize == 1 << 16
 
 

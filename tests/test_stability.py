@@ -17,7 +17,6 @@ from edgedepth.depth import depth_power
 from edgedepth.errors import (
     DisconnectedError,
     NoFullStateError,
-    NotTreeError,
     NotUnicyclicError,
     TooLargeError,
 )
@@ -27,7 +26,6 @@ from edgedepth.stability import (
     depth_limit,
     dstab_formula,
     dstab_oracle,
-    dstab_tree,
     dstab_unicyclic,
     mt_bound,
     witness,
@@ -41,20 +39,13 @@ def test_depth_limit_counts_bipartite_components():
 
 
 def test_dstab_tree_values():
-    assert dstab_tree(build_graph([(1, 2)])) == 1
-    assert dstab_tree(build_graph(star_edges(3))) == 1
-    assert dstab_tree(build_graph(path_edges(4))) == 2
-    assert dstab_tree(build_graph(path_edges(5))) == 3
+    assert dstab_formula(build_graph([(1, 2)])).value == 1
+    assert dstab_formula(build_graph(star_edges(3))).value == 1
+    assert dstab_formula(build_graph(path_edges(4))).value == 2
+    assert dstab_formula(build_graph(path_edges(5))).value == 3
     # spider: paths of lengths 2,2,2 glued at a center
     spider = build_graph([(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
-    assert dstab_tree(spider) == 7 - 3
-
-
-def test_dstab_tree_rejects_non_trees():
-    with pytest.raises(NotTreeError):
-        dstab_tree(build_graph(cycle_edges(4)))
-    with pytest.raises(NotTreeError):
-        dstab_tree(build_graph(path_edges(3) + path_edges(2, offset=3)))
+    assert dstab_formula(spider).value == 7 - 3
 
 
 def test_dstab_unicyclic_odd():
@@ -365,9 +356,9 @@ def test_wrong_hints_change_nothing():
 
 
 def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
-    # C5+leaf takes its hint from the cover walk, the bowtie from a spanning
-    # unicyclic subgraph's walk; a walk with no full cover leaves no hint
-    # and the scan alone finds the same dstab
+    # C5+leaf takes its hint from its own cover walk, the bowtie from a
+    # spanning unicyclic subgraph's walk; a walk with no full cover leaves
+    # no hint and the scan alone finds the same dstab
     c5_leaf = build_graph(cycle_edges(5) + [(1, 6)])
     bowtie = build_graph(cycle_edges(3) + [(1, 4), (4, 5), (1, 5)])
     want = {g: dstab_oracle(g) for g in (c5_leaf, bowtie)}
@@ -376,8 +367,7 @@ def test_witness_hint_dropped_when_no_full_cover_is_reached(monkeypatch):
     def no_full_state(g):
         raise NoFullStateError("no level-n state covers every vertex")
 
-    for module in (stability, assoc):
-        monkeypatch.setattr(module, "full_cover_monomial", no_full_state)
+    monkeypatch.setattr(assoc, "full_cover_monomial", no_full_state)
     for g, n in want.items():
         with pytest.raises(NoFullStateError):
             stability._witness(g)
