@@ -8,14 +8,14 @@ moves j into R and pulls N(j) into B.  Ass(R/I^n) is the set of minimal
 covers together with the primes on R_n + B_n + V for each reachable level-n
 state and each minimal completion V to a vertex cover.  A level-n state
 whose R + B is every vertex gives a monomial d with (I^n : d) = m
-(full_cover_monomial).  Taken on a spanning unicyclic subgraph
-(spanning_unicyclic_monomial), it is every connected nonbipartite graph's
-depth-zero witness, which stability.witness checks.
+(full_cover_monomial).  Taken on the spanning unicyclic subgraph that
+graphs.spanning_unicyclic_subgraph cuts (spanning_unicyclic_monomial), it
+is every connected nonbipartite graph's depth-zero witness, which
+stability.witness checks.  The walk reads only cycle_profile's one cycle.
 """
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    build_graph,
     component_bound,
     component_k,
     cycle_profile,
@@ -35,6 +34,7 @@ from .graphs import (
     induced_subgraph,
     is_unicyclic,
     minimal_vertex_covers,
+    spanning_unicyclic_subgraph,
 )
 from .monomials import Monomial
 
@@ -170,43 +170,12 @@ def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
     return n, min(candidates)
 
 
-def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
-    """The edges of a cycle given by its vertex sequence, each as (min, max)."""
-    pairs = zip(cycle, cycle[1:] + cycle[:1])
-    return {(min(a, b), max(a, b)) for a, b in pairs}
-
-
-def _spanning_unicyclic_keeping(g: Graph, cycle: tuple[int, ...]) -> Graph:
-    """Delete edges off the given cycle until the graph is unicyclic,
-    preferring deletions whose endpoints both keep degree >= 3.
-
-    g's cycles whose edges all survive (cycle_profile, in simple_cycles
-    order) are the cycles of what is left, in the same order, so each
-    round takes the first of them with an edge off the kept cycle."""
-    edges = set(g.edges)
-    keep = _cycle_edges(cycle)
-    rings = [_cycle_edges(c) for c in cycle_profile(g).cycles]
-    while len(edges) > g.r:
-        extra = next((sorted(ce - keep) for ce in rings if ce <= edges and ce - keep), None)
-        if extra is None:
-            break
-        deg = Counter(v for e in edges for v in e)
-        extra.sort(key=lambda e: (-(min(deg[e[0]], deg[e[1]])), e))
-        edges.discard(extra[0])
-    return build_graph(sorted(edges), r=g.r)
-
-
 def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
-    """For connected nonbipartite g: the full_cover_monomial of a spanning
-    unicyclic subgraph H that keeps g's least maximum odd cycle; unchecked
-    (see stability.witness).  Since I(H) is inside I(g), a witness for H is
-    one for g.  A unicyclic g is its own H, and equal graphs share their
-    cycle_profile entry, so g's cycles are listed once and H's at most once
-    more.  A g with no odd cycle has no such H: NotUnicyclicNonbipartiteError,
-    as full_cover_monomial raises for a disconnected H."""
-    prof = cycle_profile(g)
-    if prof.max_odd_len is None:
-        raise NotUnicyclicNonbipartiteError("graph has no odd cycle to keep")
-    # cycles are sorted by (length, vertices), so the first is the least
-    cycle = next(c for c in prof.cycles if len(c) == prof.max_odd_len)
-    return full_cover_monomial(_spanning_unicyclic_keeping(g, cycle))
+    """For connected nonbipartite g: the full_cover_monomial of the spanning
+    unicyclic subgraph H that graphs.spanning_unicyclic_subgraph cuts,
+    keeping g's least longest odd cycle; unchecked (see stability.witness).
+    Since I(H) is inside I(g), a witness for H is one for g, and a
+    unicyclic g is its own H.  A g with no odd cycle has no such H:
+    NotUnicyclicNonbipartiteError, as full_cover_monomial raises for a
+    disconnected H."""
+    return full_cover_monomial(spanning_unicyclic_subgraph(g))

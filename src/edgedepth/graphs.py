@@ -4,19 +4,25 @@ Vertices are 1-based integer labels.  Graphs are immutable; every vertex
 must meet at least one edge (a variable that appears in no generator of the
 edge ideal would silently change depth bookkeeping, so isolated vertices are
 rejected up front).
+
+Cycles are found by one ordered search per length, cycles_of_length, which
+holds no listing.  Only this module reads it: cycle_profile keeps the
+facts the formulas need, and spanning_unicyclic_subgraph makes the cut
+that the nonbipartite witness is taken on.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BadLabelError,
     IsolatedVertexError,
     LoopEdgeError,
+    NotUnicyclicNonbipartiteError,
     ParseError,
     TooLargeError,
 )
@@ -194,65 +200,90 @@ def mu_vector(g: Graph) -> tuple[int, ...]:
     return tuple(mu)
 
 
-def simple_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All simple cycles, each listed once as a vertex tuple starting at its
-    smallest vertex with the lexicographically smaller direction, sorted by
-    length and then by vertices.  Read it through cycle_profile, which
-    caches it."""
-    if g.r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(f"cycles of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
-    cycles: list[tuple[int, ...]] = []
-
-    def dfs(start: int, path: list[int], on_path: set[int]) -> None:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w == start:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > start and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                dfs(start, path, on_path)
-                on_path.remove(w)
+def cycles_of_length(g: Graph, n: int) -> Iterator[tuple[int, ...]]:
+    """g's simple cycles of length n >= 3, lazily and in lexicographic
+    order, each as a vertex tuple that starts at its least vertex and goes
+    in the direction of its smaller neighbour on the cycle.  A search from
+    each start walks the paths on larger vertices, neighbours ascending."""
+    for start in range(1, g.r - n + 2):
+        closers = set(g.neighbors(start))
+        path, branches = [start], [iter(g.neighbors(start))]
+        while branches:
+            w = next(branches[-1], None)
+            if w is None:
+                branches.pop()
                 path.pop()
-
-    for start in range(1, g.r + 1):
-        dfs(start, [start], {start})
-    cycles.sort(key=lambda c: (len(c), c))
-    return tuple(cycles)
+            elif w > start and w not in path:
+                if len(path) < n - 1:
+                    path.append(w)
+                    branches.append(iter(g.neighbors(w)))
+                elif w in closers and path[1] < w:
+                    yield (*path, w)
 
 
 @dataclass(frozen=True)
 class CycleProfile:
-    cycles: tuple[tuple[int, ...], ...]  # simple_cycles(g)
+    kind: str  # tree (acyclic), unicyclic or general
     max_even_len: Optional[int]
     max_odd_len: Optional[int]
-
-    @property
-    def kind(self) -> str:
-        """tree (acyclic), unicyclic or general."""
-        if not self.cycles:
-            return "tree"
-        return "unicyclic" if len(self.cycles) == 1 else "general"
-
-    @property
-    def unique_cycle(self) -> Optional[tuple[int, ...]]:
-        return self.cycles[0] if len(self.cycles) == 1 else None
+    unique_cycle: Optional[tuple[int, ...]]  # the one cycle of a unicyclic graph
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def cycle_profile(g: Graph) -> CycleProfile:
-    """g's simple cycles and what the formulas read off them.  Cached, and
-    the one caller of simple_cycles, so that the formula, the bound, the
-    oracle and the witness's spanning subgraph list a graph's cycles once."""
-    cycles = simple_cycles(g)
-    evens = [len(c) for c in cycles if len(c) % 2 == 0]
-    odds = [len(c) for c in cycles if len(c) % 2 == 1]
+    """What the formulas read off g's cycles; cached.  The kind comes from
+    the cycle rank e - r + p, each parity's longest cycle from the first
+    length r, r - 1, ... of that parity with one (no odd one if bipartite)."""
+    if g.r > MAX_VERTICES_DEFAULT:
+        raise TooLargeError(f"cycles of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
+    dec = decompose(g)
+    rank = g.num_edges - g.r + dec.p
+    if rank == 0:
+        return CycleProfile("tree", None, None, None)
+
+    def longest(top: int) -> Optional[tuple[int, ...]]:
+        return next((c for n in range(top, 2, -2) for c in cycles_of_length(g, n)), None)
+
+    even = longest(g.r - g.r % 2)
+    odd = longest(g.r - 1 + g.r % 2) if dec.t else None
     return CycleProfile(
-        cycles=cycles,
-        max_even_len=max(evens) if evens else None,
-        max_odd_len=max(odds) if odds else None,
+        kind="unicyclic" if rank == 1 else "general",
+        max_even_len=len(even) if even else None,
+        max_odd_len=len(odd) if odd else None,
+        unique_cycle=(even or odd) if rank == 1 else None,
     )
+
+
+def _cycle_edges(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The edges of a cycle given by its vertex sequence, each as (min, max)."""
+    return {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+
+
+def spanning_unicyclic_subgraph(g: Graph) -> Graph:
+    """A spanning subgraph of g with as many edges as vertices that keeps
+    g's first longest odd cycle, for nonbipartite g.
+
+    One pass over g's cycles in (length, vertices) order, until e = r:
+    each cycle whose edges all survive and that has edges off the kept
+    cycle loses the one of those whose endpoints' smaller degree is the
+    largest (the least such edge on a tie).  Edges are only deleted, so a
+    cycle passed over stays broken or on the kept cycle, and the pass cuts
+    what re-searching the cycles of what is left in every round would."""
+    odd = cycle_profile(g).max_odd_len
+    if odd is None:
+        raise NotUnicyclicNonbipartiteError("graph has no odd cycle to keep")
+    keep = _cycle_edges(next(cycles_of_length(g, odd)))
+    edges = set(g.edges)
+    deg = Counter(v for e in edges for v in e)
+    for cycle in (c for n in range(3, g.r + 1) for c in cycles_of_length(g, n)):
+        if len(edges) <= g.r:
+            break
+        ring = _cycle_edges(cycle)
+        if ring <= edges and ring - keep:
+            cut = min(ring - keep, key=lambda e: (-min(deg[e[0]], deg[e[1]]), e))
+            edges.discard(cut)
+            deg.subtract(cut)
+    return build_graph(sorted(edges), r=g.r)
 
 
 def component_k(g: Graph) -> int:

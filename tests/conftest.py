@@ -70,6 +70,18 @@ def random_connected_graph(rng: random.Random, v: int, max_extra: int = 4) -> Gr
     return build_graph(sorted(edges), r=v)
 
 
+def networkx_cycles(nx, g: Graph) -> list[tuple[int, ...]]:
+    """g's simple cycles found by networkx (the module is passed in), each
+    turned to start at its least vertex towards its smaller neighbour,
+    sorted by (length, vertices)."""
+    out = []
+    for c in nx.simple_cycles(nx.Graph(g.edges)):
+        i = c.index(min(c))
+        c = c[i:] + c[:i]
+        out.append(tuple(c) if c[1] < c[-1] else (c[0], *reversed(c[1:])))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
 def independent_sets_exhaustive(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets by testing every vertex subset."""
     verts = list(range(1, g.r + 1))

@@ -9,13 +9,13 @@ from conftest import (
     complete_edges,
     cycle_edges,
     maximal_ideal,
+    networkx_cycles,
     path_edges,
     random_connected_graph,
 )
 from edgedepth.assoc import (
     MAX_LEVEL_MARGIN,
     CoverState,
-    _spanning_unicyclic_keeping,
     ass_formula,
     cover_states,
     full_cover_monomial,
@@ -33,7 +33,7 @@ from edgedepth.graphs import (
     is_unicyclic,
     leaf_edges,
     minimal_vertex_covers,
-    simple_cycles,
+    spanning_unicyclic_subgraph,
 )
 from edgedepth.monomials import (
     associated_primes_bruteforce,
@@ -201,9 +201,9 @@ def test_nonbipartite_bound_dense():
     assert n <= 5 - 0 - 3 + 1
 
 
-def _spanning_unicyclic_reference(g, cycle):
-    """The deletion loop that enumerates the cycles of what is left in
-    every round."""
+def _spanning_unicyclic_reference(nx, g, cycle):
+    """The deletion loop that takes the cycles of what is left from
+    networkx in every round, sorted by (length, vertices)."""
     edges = set(g.edges)
     m = len(cycle)
     cyc_edges = {
@@ -213,7 +213,7 @@ def _spanning_unicyclic_reference(g, cycle):
     while len(edges) > g.r:
         h = build_graph(sorted(edges), r=g.r)
         extra = None
-        for cyc in simple_cycles(h):
+        for cyc in networkx_cycles(nx, h):
             k = len(cyc)
             ce = {(min(cyc[i], cyc[(i + 1) % k]), max(cyc[i], cyc[(i + 1) % k])) for i in range(k)}
             off = sorted(ce - cyc_edges)
@@ -228,8 +228,10 @@ def _spanning_unicyclic_reference(g, cycle):
 
 
 def test_spanning_unicyclic_takes_the_cycles_once():
-    # one enumeration of g's cycles, filtered to those that survive each
-    # deletion, gives the subgraph that re-enumerating every round gives
+    # one pass over g's cycles, skipping those a deletion broke, keeps
+    # g's least longest odd cycle and cuts the subgraph that re-listing
+    # the cycles of what is left in every round cuts
+    nx = pytest.importorskip("networkx")
     rng = random.Random(97)
     graphs = [build_graph(complete_edges(v)) for v in range(4, 9)]
     while len(graphs) < 35:
@@ -237,11 +239,10 @@ def test_spanning_unicyclic_takes_the_cycles_once():
         if decompose(g).t and g.num_edges >= g.r + 2:  # two deletions at least
             graphs.append(g)
     for g in graphs:
-        odd = [c for c in simple_cycles(g) if len(c) % 2]
-        longest = max(len(c) for c in odd)
-        cycle = min(c for c in odd if len(c) == longest)
-        h = _spanning_unicyclic_keeping(g, cycle)
-        assert h == _spanning_unicyclic_reference(g, cycle)
+        odd = [c for c in networkx_cycles(nx, g) if len(c) % 2]
+        cycle = max(odd, key=len)  # the first of the longest, as they are sorted
+        h = spanning_unicyclic_subgraph(g)
+        assert h == _spanning_unicyclic_reference(nx, g, cycle)
         assert is_unicyclic(h) and cycle_profile(h).unique_cycle == cycle
 
 

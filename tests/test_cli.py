@@ -269,7 +269,7 @@ _C3 = graphs.build_graph(cycle_edges(3))
         (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
         (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
         (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
-        (lambda gf: graphs.simple_cycles(_P17), "cap is 16 (the vertex cap)"),
+        (lambda gf: graphs.cycle_profile(_P17), "cap is 16 (the vertex cap)"),
         (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
         (lambda gf: assoc.cover_states(_C3, 8), "cap is r + 4 (the level cap)"),
         (lambda gf: from_facets(range(1, 22), [range(1, 22)]), "(the face cap)"),
@@ -358,21 +358,15 @@ def test_depth_seq_reaches_p8(graph_file, capsys):
     [(K6_TEXT, 1), (C7_TEXT, 1), (C3C4_TEXT, 2), (K4_TEXT, 2), (BOWTIE_TEXT, 2)],
     ids=["K6", "C7", "C3+C4", "K4", "bowtie"],
 )
-def test_dstab_enumerates_cycles_once_per_graph(graph_file, capsys, monkeypatch, text, calls):
-    # K4 and the bowtie list their own cycles and those of the spanning
-    # unicyclic subgraph whose cover walk gives their witness
-    seen = []
-    real = graphs.simple_cycles
-
-    def spy(g):
-        seen.append(g)
-        return real(g)
-
-    monkeypatch.setattr(graphs, "simple_cycles", spy)
+def test_dstab_enumerates_cycles_once_per_graph(graph_file, capsys, text, calls):
+    # cycle_profile searches each graph's cycles once: the formula, the
+    # bound, the oracle and the witness read its cached facts.  C3+C4 has
+    # two components; K4 and the bowtie also profile the spanning unicyclic
+    # subgraph whose cover walk gives their witness
     graphs.cycle_profile.cache_clear()
     code, out, err = run(capsys, ["--format", "json", "dstab", graph_file("g.txt", text)])
     assert code == 0 and json.loads(out)["match"] is True, err
-    assert len(seen) == calls
+    assert graphs.cycle_profile.cache_info().misses == calls
 
 
 @pytest.mark.parametrize(

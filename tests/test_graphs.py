@@ -1,7 +1,9 @@
 """Graph construction, decomposition, cycles, independent sets, covers."""
 from __future__ import annotations
 
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
     complete_edges,
     cycle_edges,
     independent_sets_exhaustive,
+    networkx_cycles,
     path_edges,
     random_graph,
     star_edges,
@@ -21,8 +24,10 @@ from edgedepth.errors import (
     TooLargeError,
 )
 from edgedepth.graphs import (
+    CycleProfile,
     build_graph,
     cycle_profile,
+    cycles_of_length,
     decompose,
     distances_from,
     induced_subgraph,
@@ -32,7 +37,6 @@ from edgedepth.graphs import (
     minimal_vertex_covers,
     mu_vector,
     parse_graph,
-    simple_cycles,
 )
 
 
@@ -119,12 +123,46 @@ def test_mu_vector():
     assert mu_vector(build_graph(star_edges(3))) == (0, 0, 0, 0)
 
 
-def test_simple_cycles_counts():
-    assert simple_cycles(build_graph(path_edges(5))) == ()
-    assert simple_cycles(build_graph(cycle_edges(6))) == ((1, 2, 3, 4, 5, 6),)
-    k4 = build_graph(complete_edges(4))
-    lens = sorted(len(c) for c in simple_cycles(k4))
-    assert lens == [3, 3, 3, 3, 4, 4, 4]
+def test_cycles_of_length_match_networkx():
+    # every atlas graph on at most 7 vertices with no isolated vertex, then
+    # P5, C6 and K4: each length's cycles are networkx's, every one starts
+    # at its least vertex towards its smaller neighbour, in lexicographic order
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_graph([(u + 1, v + 1) for u, v in a.edges()], r=a.number_of_nodes())
+        for a in nx.graph_atlas_g()
+        if a.number_of_edges() and min(d for _, d in a.degree()) > 0
+    ]
+    assert len(graphs) == 1043
+    graphs += [build_graph(path_edges(5)), build_graph(cycle_edges(6)), build_graph(complete_edges(4))]
+    for g in graphs:
+        want = networkx_cycles(nx, g)
+        for n in range(3, g.r + 1):
+            got = list(cycles_of_length(g, n))
+            assert got == sorted(got), g.edges
+            assert all(c[0] == min(c) and c[1] < c[-1] for c in got), g.edges
+            assert got == [c for c in want if len(c) == n], g.edges
+    p5, c6, k4 = graphs[-3:]
+    assert [c for n in range(3, 6) for c in cycles_of_length(p5, n)] == []
+    assert [c for n in range(3, 7) for c in cycles_of_length(c6, n)] == [(1, 2, 3, 4, 5, 6)]
+    assert [len(list(cycles_of_length(k4, n))) for n in (3, 4)] == [4, 3]
+
+
+def test_cycle_profile_holds_no_listing():
+    # K10 has 556,014 simple cycles, about 70 MB as tuples; the profile keeps none
+    assert [f.name for f in dataclasses.fields(CycleProfile)] == [
+        "kind", "max_even_len", "max_odd_len", "unique_cycle",
+    ]
+    k10 = build_graph(complete_edges(10))
+    cycle_profile.cache_clear()
+    tracemalloc.start()
+    try:
+        prof = cycle_profile(k10)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof == CycleProfile("general", 10, 9, None)
+    assert held < 1 << 20
 
 
 def test_cycle_profile():
@@ -141,7 +179,7 @@ def test_cycle_profile():
 def test_cycle_cap():
     g = build_graph(path_edges(17))
     with pytest.raises(TooLargeError):
-        simple_cycles(g)
+        cycle_profile(g)
 
 
 def test_tree_unicyclic_predicates():

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
 module in src/ takes an underscore name from another, every size cap
 names itself when it refuses, every memo in src/ is bounded, and every
-parameter in src/ is read; only graphs.cycle_profile lists cycles."""
+parameter in src/ is read; only graphs.py searches for cycles."""
 from __future__ import annotations
 
 import ast
@@ -290,20 +290,21 @@ def readers(source: str, name: str) -> list[tuple[int, str]]:
 
 def test_readers_detected():
     src = (
-        "from .graphs import simple_cycles\n"
-        "def profile(g):\n    return simple_cycles(g)\n"
-        "class A:\n    def f(self, g):\n        listing = graphs.simple_cycles\n"
-        "        return [len(c) for c in listing(g)]\n"
-        "simple_cycles = None\nrings = map(len, simple_cycles)\n"
+        "from .graphs import cycles_of_length\n"
+        "def profile(g):\n    return cycles_of_length(g, 3)\n"
+        "class A:\n    def f(self, g):\n        search = graphs.cycles_of_length\n"
+        "        return [len(c) for c in search(g, 4)]\n"
+        "cycles_of_length = None\nrings = map(len, cycles_of_length)\n"
     )
-    assert readers(src, "simple_cycles") == [(3, "profile"), (6, "A.f"), (9, "<module>")]
+    assert readers(src, "cycles_of_length") == [(3, "profile"), (6, "A.f"), (9, "<module>")]
 
 
-def test_cycles_are_listed_only_by_cycle_profile():
-    # every cycle fact, and the witness's spanning subgraph, reads the one
-    # cached listing, so no graph has its cycles listed twice
-    found = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for _, where in readers(path.read_text(encoding="utf-8"), "simple_cycles"):
-            found.append((path.relative_to(ROOT / "src").as_posix(), where))
-    assert found == [("edgedepth/graphs.py", "cycle_profile")]
+def test_cycles_are_searched_only_in_graphs():
+    # the cycle order is known to graphs.py alone: every other module reads
+    # cycle_profile's facts or spanning_unicyclic_subgraph's cut
+    found = {
+        path.relative_to(ROOT / "src").as_posix()
+        for path in (ROOT / "src").rglob("*.py")
+        if readers(path.read_text(encoding="utf-8"), "cycles_of_length")
+    }
+    assert found == {"edgedepth/graphs.py"}
