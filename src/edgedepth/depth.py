@@ -117,10 +117,11 @@ import numpy as np
 from .errors import InternalError, NotBipartiteError, TooLargeError
 from .graphs import MAX_VERTICES_DEFAULT, Graph, decompose, maximal_independent_sets
 from .monomials import (
+    COLON_CHUNK_CELLS,
     MonomialIdeal,
-    contains,
     edge_ideal,
     gens_array,
+    membership,
     power,
 )
 from .simplicial import (
@@ -624,21 +625,24 @@ def betti_depth_crosscheck(ideal: MonomialIdeal, field: FieldChoice = QQ) -> int
         raise TooLargeError(
             f"betti crosscheck of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)"
         )
-    lcm = [max(g[i] for g in ideal.gens) for i in range(r)]
-    cells = 1
-    for e in lcm:
-        cells *= e + 1
+    lcm = gens_array(ideal).max(axis=0).astype(np.int64)
+    cells = math.prod(int(e) + 1 for e in lcm)
     if cells > MAX_BOX_DEFAULT:
         raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
+    strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
+    inside: list[bool] = []  # x^b in I, for b at each flat index of the box
+    for off in range(0, cells, COLON_CHUNK_CELLS):
+        idx = np.arange(off, min(off + COLON_CHUNK_CELLS, cells))
+        inside += membership(ideal, idx[:, None] // strides % (lcm + 1))[0].tolist()
+    # x^(b - 1_S) sits at flat index shift[S] below b's
+    shift = (((np.arange(1 << r)[:, None] >> np.arange(r)) & 1) @ strides).tolist()
     max_i = -1
     universe = tuple(range(1, r + 1))
     memo: dict[SimplicialComplex, int] = {}
-    for b in itertools.product(*[range(e + 1) for e in lcm]):
+    for flat, b in enumerate(itertools.product(*[range(e + 1) for e in lcm])):
         support = sum(1 << i for i in range(r) if b[i] >= 1)
         cx = SimplicialComplex(universe, frozenset(
-            s
-            for s in submasks(support)
-            if contains(ideal, tuple(b[i] - (s >> i & 1) for i in range(r)))
+            s for s in submasks(support) if inside[flat - shift[s]]
         ))
         top = memo.get(cx)
         if top is None:

@@ -30,7 +30,7 @@ from .errors import (
 MAX_VERTICES_DEFAULT = 16
 
 # Entries kept by each memo of a graph or an ideal (cycle_profile here,
-# monomials.power and monomials.gens_array), least recently used first out,
+# monomials.power, gens_array and _bitsets), least recently used first out,
 # so a long-running process stays bounded.  One pass of a bench/ workload
 # (many CLI jobs in one process) fills at most 54, so it meets no extra miss.
 CACHE_ENTRIES = 256

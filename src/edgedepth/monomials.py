@@ -4,6 +4,12 @@ Monomials are exponent tuples of length r.  An ideal is canonical: its
 generators are deduplicated, pairwise incomparable under divisibility, and
 sorted.  The zero ideal has no generators; the unit ideal is generated by
 the exponent vector of all zeros.
+
+One kernel, membership, says whether x^a and each x^a * x_i lie in I.  It
+answers the colon scan here (is (I : x^m) a prime), the depth-zero check
+of stability.witness (is (I^n : x^alpha) the maximal ideal) and
+depth.betti_depth_crosscheck (which x^b lie in I); contains is the
+definition, kept for the tests to compare it against.
 """
 from __future__ import annotations
 
@@ -26,17 +32,8 @@ COLON_CHUNK_CELLS = 4096
 # Cells of the largest lcm box the colon scan will visit.
 MAX_COLON_CELLS = 2_000_000
 
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def monomial_str(m: Monomial) -> str:
@@ -78,7 +75,7 @@ def minimalize(r: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
             raise ValueError(f"negative exponent in {m}")
     if not uniq:
         return MonomialIdeal(r=r, gens=())
-    degrees = {monomial_degree(m) for m in uniq}
+    degrees = {sum(m) for m in uniq}
     if len(degrees) == 1:
         # distinct monomials of equal degree never divide each other
         return MonomialIdeal(r=r, gens=tuple(uniq))
@@ -108,8 +105,8 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def contains(ideal: MonomialIdeal, m: Sequence[int]) -> bool:
-    mt = tuple(m)
-    return any(monomial_divides(g, mt) for g in ideal.gens)
+    """x^m in I, by the definition; the tests' reference for membership."""
+    return any(all(g_i <= m_i for g_i, m_i in zip(g, m)) for g in ideal.gens)
 
 
 def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -129,6 +126,10 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         return MonomialIdeal(r=ideal.r, gens=(tuple([0] * ideal.r),))
     if n == 1:
         return ideal
+    # I^64, I^128, ... below I^(n-1) first, kept cached (64 < CACHE_ENTRIES),
+    # so the recursion below takes at most 64 steps whatever n is
+    for k in range(64, n - 1, 64):
+        power(ideal, k)
     return multiply(power(ideal, n - 1), ideal)
 
 
@@ -141,72 +142,79 @@ def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
     return minimalize(ideal.r, quotients)
 
 
-def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
-    """Boolean (k, n) rows as (k, words) uint64 bitsets, padding bits zero."""
-    packed = np.zeros((len(bits), 8 * words), dtype=np.uint8)
-    row_bytes = np.packbits(bits, axis=1, bitorder="little")
-    packed[:, : row_bytes.shape[1]] = row_bytes
-    return packed.view(np.uint64)
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _bitsets(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lcm, offsets, table): table[offsets[i] + v] is the bitset of the
+    generators g with g_i <= v, for v = 0 .. lcm_i + 1."""
+    arr = gens_array(ideal)
+    lcm = arr.max(axis=0, initial=0).astype(np.int64)
+    # padded to whole words with generators that no exponent row reaches
+    arr = np.vstack([arr, np.full((-len(arr) % 64, ideal.r), lcm.max() + 2)])
+    rows = np.concatenate([arr[None, :, i] <= np.arange(e + 2)[:, None] for i, e in enumerate(lcm)])
+    table = np.packbits(rows, axis=1, bitorder="little").view(np.uint64)
+    table.setflags(write=False)
+    return lcm, np.cumsum(lcm + 2) - (lcm + 2), table
+
+
+def _divisors(ideal: MonomialIdeal, cells: np.typing.ArrayLike) -> tuple[np.ndarray, ...]:
+    """(at, below, inside) for exponent rows a, clipped to the lcm: below[i]
+    holds the generators g with g_i <= a_i and at[i] is its table row, so
+    x^a is in I (inside) iff the AND over i of below[i] is not empty."""
+    lcm, offsets, table = _bitsets(ideal)
+    at = (np.minimum(np.asarray(cells, dtype=np.int64), lcm) + offsets).T
+    below = np.take(table, at, axis=0)  # take: far faster than indexing here
+    return at, below, np.bitwise_and.reduce(below, axis=0).any(axis=1)
+
+
+def membership(ideal: MonomialIdeal, cells: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, bumped) for a (k, r) block of nonnegative exponent rows a:
+    inside[k] says x^a is in I and bumped[k, i] says x^a * x_i is.
+
+    Exponents past the lcm are clipped to it (_divisors).  x^a * x_i swaps
+    in the row for a_i + 1, which prefix and suffix ANDs over the other
+    variables make cheap.  A row inside I has every bump inside, so bumps
+    are only computed for the rows outside.
+    """
+    at, below, inside = _divisors(ideal, cells)
+    bumped = np.ones(at.T.shape, dtype=bool)
+    out = np.flatnonzero(~inside)
+    below, table = below[:, out], _bitsets(ideal)[2]
+    prefix = [~np.uint64(0)]
+    for b in below[:-1]:
+        prefix.append(prefix[-1] & b)
+    suffix = prefix[0]
+    for i in range(len(below) - 1, -1, -1):
+        bumped[out, i] = (prefix[i] & suffix & np.take(table, at[i, out] + 1, axis=0)).any(axis=1)
+        suffix = suffix & below[i]
+    return inside, bumped
 
 
 def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Associated primes of R/I by exhaustive colon scan.
 
     P is associated iff P = (I : m) for a monomial m; it suffices to scan m
-    below the componentwise lcm of the generators, and (I : m) is such a
-    prime iff m is not in I and every generator has an exponent above m in
-    S = {i : m*x_i in I}.
-
-    Every cell of the box is tested, on bitsets of generators: le[i][v]
-    holds the generators g with g_i <= v, so the generators dividing m are
-    the AND over i of le[i][m_i].  m*x_i swaps in le[i][m_i + 1], which the
-    prefix and suffix ANDs of the other variables make cheap, and the last
-    condition says no generator lies in le[i][m_i] for all i in S at once.
+    below the componentwise lcm of the generators.  Every cell of that box
+    asks the membership kernel: with S = {i : m*x_i in I}, (I : m) is the
+    prime P_S iff m is not in I and m raised to the lcm outside S is not in
+    I either, i.e. no generator has all its exponents in S at most m's.
     """
     if ideal.is_zero:
         return ()
     if ideal.is_unit:
         raise ValueError("unit ideal has no associated primes")
     r = ideal.r
-    arr = gens_array(ideal)
-    lcm = [int(e) for e in arr.max(axis=0)]
-    cells = 1
-    for e in lcm:
-        cells *= e + 1
+    lcm = gens_array(ideal).max(axis=0).astype(np.int64)
+    cells = math.prod(int(e) + 1 for e in lcm)
     if cells > MAX_COLON_CELLS:
         raise TooLargeError(f"colon box has {cells} cells, cap is {MAX_COLON_CELLS} (the colon cap)")
-    words = (len(arr) + 63) // 64
-    le = [
-        _pack_rows(arr[None, :, i] <= np.arange(e + 2)[:, None], words)
-        for i, e in enumerate(lcm)
-    ]
-    full = _pack_rows(np.ones((1, len(arr)), dtype=bool), words)
-    strides = [math.prod(e + 1 for e in lcm[i + 1 :]) for i in range(r)]
+    strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
     weights = 1 << np.arange(r, dtype=np.int64)
     codes: set[int] = set()
     for off in range(0, cells, COLON_CHUNK_CELLS):
         idx = np.arange(off, min(off + COLON_CHUNK_CELLS, cells), dtype=np.int64)
-        m = [idx // strides[i] % (e + 1) for i, e in enumerate(lcm)]
-        below = [le[i][m[i]] for i in range(r)]  # generators with g_i <= m_i
-        divisors = full
-        for b in below:
-            divisors = divisors & b
-        cand = ~divisors.any(axis=1)  # m not in I
-        if not cand.any():
-            continue
-        m = [mi[cand] for mi in m]
-        below = [b[cand] for b in below]
-        prefix = [full]
-        for b in below[:-1]:
-            prefix.append(prefix[-1] & b)
-        suffix = full
-        s_mask = np.zeros((len(m[0]), r), dtype=bool)
-        for i in range(r - 1, -1, -1):
-            s_mask[:, i] = (prefix[i] & suffix & le[i][m[i] + 1]).any(axis=1)
-            suffix = suffix & below[i]
-        rest = full
-        for i in range(r):
-            rest = rest & np.where(s_mask[:, i, None], below[i], full)
-        ok = ~rest.any(axis=1)
+        m = idx[:, None] // strides % (lcm + 1)
+        inside, s_mask = membership(ideal, m)
+        s_mask, m = s_mask[~inside], m[~inside]
+        ok = ~_divisors(ideal, np.where(s_mask, m, lcm))[2]
         codes.update(np.unique(s_mask[ok] @ weights).tolist())
     return tuple(sorted(tuple(i + 1 for i in range(r) if c >> i & 1) for c in codes))

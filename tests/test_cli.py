@@ -144,6 +144,15 @@ def test_ass_auto_falls_back_to_bruteforce(graph_file, capsys):
     assert payload["bruteforce"] == [[1, 3], [2, 4]]
 
 
+def test_ass_at_power_500_falls_back_without_deep_recursion(graph_file, capsys):
+    # K2's colon box at n = 500 has 251,001 cells, under the colon cap; a
+    # cold I^500 once recursed one call per power and died
+    path = graph_file("k2.txt", "1 2\n")
+    code, out, _ = run(capsys, ["--format", "json", "ass", path, "--power", "500"])
+    assert code == 0
+    assert json.loads(out)["bruteforce"] == [[1], [2]]
+
+
 def test_ass_auto_keeps_the_level_cap(graph_file, capsys):
     # only a graph outside the formula's class falls back to brute force
     path = graph_file("c3.txt", C3_TEXT)

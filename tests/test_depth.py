@@ -615,6 +615,22 @@ def test_betti_crosscheck_examples():
     assert betti_depth_crosscheck(c3sq) == 0
 
 
+def test_depth_scan_matches_betti_over_the_atlas():
+    # every connected graph on 2 to 5 vertices of networkx's graph atlas, at
+    # n <= 3: the scan and the Betti route agree on the edge ideal's powers
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_graph([(u + 1, v + 1) for u, v in a.edges()])
+        for a in nx.graph_atlas_g()
+        if 2 <= a.number_of_nodes() <= 5 and nx.is_connected(a)
+    ]
+    assert len(graphs) == 30
+    for g in graphs:
+        for n in (1, 2, 3):
+            want = depth_power(g, n).depth
+            assert betti_depth_crosscheck(power(edge_ideal(g), n)) == want, (g.edges, n)
+
+
 def test_depth_caps():
     ideal = minimalize(17, [tuple([1] * 17)])
     with pytest.raises(TooLargeError, match=r"cap is 16 \(the vertex cap\)"):

@@ -308,3 +308,14 @@ def test_cycles_are_searched_only_in_graphs():
         if readers(path.read_text(encoding="utf-8"), "cycles_of_length")
     }
     assert found == {"edgedepth/graphs.py"}
+
+
+def test_membership_is_asked_only_through_the_kernel():
+    # "is x^a in I?" has one kernel in src, monomials.membership; contains
+    # stays the definition that the tests compare it against
+    found = [
+        (path.relative_to(ROOT / "src").as_posix(), line, where)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, where in readers(path.read_text(encoding="utf-8"), "contains")
+    ]
+    assert found == []

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -20,6 +21,7 @@ from conftest import (
     symbolic_member,
     variable_ideal,
 )
+from edgedepth import monomials
 from edgedepth.depth import _homology
 from edgedepth.graphs import CACHE_ENTRIES, build_graph, cycle_profile
 from edgedepth.monomials import (
@@ -30,6 +32,7 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
+    membership,
     minimalize,
     monomial_str,
     multiply,
@@ -266,6 +269,43 @@ def test_associated_primes_match_naive_colon_scan():
         if ideal.is_zero or ideal.is_unit:
             continue
         assert set(associated_primes_bruteforce(ideal)) == _naive_associated_primes(ideal), ideal
+
+
+def test_membership_matches_contains():
+    # the kernel against the definition on seeded random ideals, on rows
+    # past the lcm and on bumps up to and past its edge; the last ideals
+    # take more than one 64-bit word per bitset
+    rng = random.Random(2121)
+    k4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    ideals = [random_ideal(rng, rng.randint(1, 5)) for _ in range(300)]
+    ideals += [power(edge_ideal(build_graph(k4)), 4), minimalize(3, []), minimalize(2, [(0, 0)])]
+    for ideal in ideals:
+        r = ideal.r
+        lcm = [max((g[i] for g in ideal.gens), default=0) for i in range(r)]
+        rows = [tuple(rng.randint(0, e + 2) for e in lcm) for _ in range(40)]
+        rows += [tuple(lcm)] + [tuple(max(e - 1, 0) for e in lcm)] + list(ideal.gens)
+        inside, bumped = membership(ideal, rows)
+        assert inside.shape == (len(rows),) and bumped.shape == (len(rows), r)
+        for a, got, bumps in zip(rows, inside, bumped):
+            assert got == contains(ideal, a), (ideal, a)
+            for i in range(r):
+                up = a[:i] + (a[i] + 1,) + a[i + 1:]
+                assert bumps[i] == contains(ideal, up), (ideal, a, i)
+    inside, bumped = membership(ideals[0], np.zeros((0, ideals[0].r), dtype=np.int64))
+    assert inside.shape == (0,) and bumped.shape == (0, ideals[0].r)
+
+
+def test_power_recursion_is_shallow_and_warm_powers_take_one_multiply(monkeypatch):
+    # a cold I^n takes no recursion that grows with n, and n = 1, 2, ...
+    # asked in order multiply once per new power
+    ideal = minimalize(2, [(3, 1), (1, 2)])
+    assert power(minimalize(2, [(1, 1)]), 5000).gens == ((5000, 5000),)
+    calls = []
+    real = monomials.multiply
+    monkeypatch.setattr(monomials, "multiply", lambda a, b: calls.append(1) or real(a, b))
+    for n in range(1, 131):
+        power(ideal, n)
+    assert len(calls) == 129
 
 
 def test_power_cache_returns_same_object():
