@@ -17,7 +17,6 @@ from .stability import (
     depth_sequence,
     dstab_formula,
     dstab_oracle,
-    dstab_unicyclic,
     mt_bound,
     witness,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "depth_limit",
     "dstab_formula",
     "dstab_oracle",
-    "dstab_unicyclic",
     "mt_bound",
     "witness",
     "ass_formula",

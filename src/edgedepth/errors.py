@@ -25,10 +25,6 @@ class DisconnectedError(GraphError):
     pass
 
 
-class NotUnicyclicError(GraphError):
-    pass
-
-
 class NotBipartiteError(GraphError):
     pass
 

@@ -175,10 +175,6 @@ def decompose(g: Graph) -> ComponentDecomposition:
     return ComponentDecomposition(tuple(comps), tuple(biparts))
 
 
-def is_connected(g: Graph) -> bool:
-    return decompose(g).p == 1
-
-
 def leaf_edges(g: Graph) -> int:
     """Number of edges with at least one endpoint of degree 1."""
     count = 0
@@ -304,7 +300,7 @@ def component_bound(g: Graph) -> int:
 
 
 def is_unicyclic(g: Graph) -> bool:
-    return is_connected(g) and g.num_edges == g.r
+    return decompose(g).p == 1 and g.num_edges == g.r
 
 
 def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:

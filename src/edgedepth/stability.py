@@ -15,9 +15,16 @@ applied to the components' b (mt_bound), where 2k_i is the largest even
 cycle length of a bipartite component (k_i = 1 for trees) and 2k_i - 1 the
 largest odd cycle length of a nonbipartite one (graphs.component_k).
 
+dstab_formula is the one place that gives these values: it reads each
+component's cycle_profile and bound term, and names its case in a note
+(tree, odd-cycle, even-cycle, four-cycle-pure, four-cycle-adjacent-deg2,
+four-cycle-remark, or component-bound for a graph with two or more cycles).
+
 Each connected graph also has a witness (witness): a power n and a degree
 alpha whose complex shows that depth R/I^n is already the limit.  The
-oracle tries the same cell first at its power (_witness_stream).
+oracle reads one certificate stream (power_certificates), which tries the
+same cell first at its power (_witness_stream) and splits a disconnected
+graph by calling itself on the parts.
 """
 from __future__ import annotations
 
@@ -38,7 +45,6 @@ from .errors import (
     DisconnectedError,
     InternalError,
     NoFullStateError,
-    NotUnicyclicError,
     TooLargeError,
     WitnessCheckFailedError,
 )
@@ -71,34 +77,6 @@ def mt_bound(g: Graph) -> int:
 
 
 @dataclass(frozen=True)
-class UnicyclicDstab:
-    value: int
-    note: str
-
-
-def dstab_unicyclic(g: Graph) -> UnicyclicDstab:
-    """dstab for a connected unicyclic graph.
-
-    The 4-cycle branches rest on a case analysis rather than a closed
-    formula with a standalone proof, so they are flagged for
-    cross-validation against the oracle.
-    """
-    if not is_unicyclic(g):
-        raise NotUnicyclicError("graph is not connected with exactly one cycle")
-    cycle = cycle_profile(g).unique_cycle
-    bound = component_bound(g)
-    if len(cycle) % 2 == 1:
-        return UnicyclicDstab(bound, "odd-cycle")
-    if len(cycle) > 4:
-        return UnicyclicDstab(bound, "even-cycle")
-    if g.r == 4:
-        return UnicyclicDstab(1, "four-cycle-pure")
-    if any(g.degree(u) == 2 == g.degree(v) for u, v in zip(cycle, cycle[1:] + cycle[:1])):
-        return UnicyclicDstab(bound - 1, "four-cycle-adjacent-deg2")
-    return UnicyclicDstab(bound, "four-cycle-remark")
-
-
-@dataclass(frozen=True)
 class ComponentReport:
     vertices: tuple[int, ...]
     kind: str  # tree | unicyclic | general
@@ -123,22 +101,33 @@ def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
 
-    Each component's value is its bound term, or dstab_unicyclic's for a
-    unicyclic one.  The 4-cycle remark branches are cross-validated against
-    the depth oracle over field; a mismatch, or a component too large for
-    the oracle, downgrades the report to exact=False instead of failing.
+    Each component's value is its bound term, with the 4-cycle corrections
+    for a unicyclic one, and its note names the case.  The 4-cycle cases
+    rest on a case analysis rather than a closed formula with a standalone
+    proof, so each but the 4-cycle itself is cross-validated against the
+    depth oracle over field; a mismatch, or a component too large for the
+    oracle, downgrades the report to exact=False instead of failing.
     """
     dec = decompose(g)
     reports = []
     warnings: list[str] = []
     for comp, bipart in zip(dec.components, dec.bipartitions):
         sub, _ = induced_subgraph(g, comp)
-        kind = cycle_profile(sub).kind
-        value, note = component_bound(sub), "tree" if kind == "tree" else "component-bound"
-        if kind == "unicyclic":
-            res = dstab_unicyclic(sub)
-            value, note = res.value, res.note
-        exact = kind != "general"
+        prof, value = cycle_profile(sub), component_bound(sub)
+        cycle = prof.unique_cycle
+        if prof.kind != "unicyclic":
+            note = "tree" if prof.kind == "tree" else "component-bound"
+        elif len(cycle) % 2 == 1:
+            note = "odd-cycle"
+        elif len(cycle) > 4:
+            note = "even-cycle"
+        elif sub.r == 4:
+            value, note = 1, "four-cycle-pure"
+        elif any(sub.degree(u) == 2 == sub.degree(v) for u, v in zip(cycle, cycle[1:] + cycle[:1])):
+            value, note = value - 1, "four-cycle-adjacent-deg2"
+        else:
+            note = "four-cycle-remark"
+        exact = prof.kind != "general"
         if note.startswith("four-cycle") and note != "four-cycle-pure":
             try:
                 oracle = dstab_oracle(sub, field=field)
@@ -148,8 +137,9 @@ def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
             if problem:
                 warnings.append(f"component {comp}: four-cycle case value {value} {problem}")
                 exact = False
+        bipartite = bipart is not None
         reports.append(
-            ComponentReport(comp, kind, bipart is not None, component_k(sub), value, exact, note)
+            ComponentReport(comp, prof.kind, bipartite, component_k(sub), value, exact, note)
         )
     return DstabReport(
         value=sum(rep.value for rep in reports) - len(reports) + 1,
@@ -195,18 +185,6 @@ def _witness_stream(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
         yield depth_power(g, n, field=field, hints=[hint[1]] if n == hint[0] else ())
 
 
-def _certificates(g: Graph, field: FieldChoice) -> Iterator[DepthCertificate]:
-    """power_certificates without the trace."""
-    comps = decompose(g).components
-    if len(comps) == 1:
-        return _witness_stream(g, field)
-    a, a_labels = induced_subgraph(g, comps[0])
-    b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
-    return split_certificates(
-        g, _certificates(a, field), a_labels, _certificates(b, field), b_labels, field
-    )
-
-
 def power_certificates(
     g: Graph, field: FieldChoice = QQ, trace: bool = False
 ) -> Iterator[DepthCertificate]:
@@ -214,10 +192,20 @@ def power_certificates(
 
     A connected g tries its witness cell first at its power
     (_witness_stream).  A disconnected g is split into its first component
-    and the rest, as induced_subgraph relabels them, each with a stream of
-    its own (depth.split_certificates; the rest is split in turn).  trace
-    prints one line per power to stderr."""
-    for n, cert in enumerate(_certificates(g, field), 1):
+    and the rest, as induced_subgraph relabels them, each with an untraced
+    stream of its own from this function (depth.split_certificates; the
+    rest is split in turn).  trace prints one line per power of g to
+    stderr."""
+    comps = decompose(g).components
+    if len(comps) == 1:
+        certs = _witness_stream(g, field)
+    else:
+        a, a_labels = induced_subgraph(g, comps[0])
+        b, b_labels = induced_subgraph(g, [v for c in comps[1:] for v in c])
+        certs = split_certificates(
+            g, power_certificates(a, field), a_labels, power_certificates(b, field), b_labels, field
+        )
+    for n, cert in enumerate(certs, 1):
         if trace:
             print(
                 f"power {n}: depth={cert.depth} witness={cert.witness_alpha} "

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
 module in src/ takes an underscore name from another, every size cap
 names itself when it refuses, every memo in src/ is bounded, and every
-parameter in src/ is read; only graphs.py searches for cycles."""
+parameter in src/ is read, every leaf error class is raised; only
+graphs.py searches for cycles."""
 from __future__ import annotations
 
 import ast
@@ -319,3 +320,53 @@ def test_membership_is_asked_only_through_the_kernel():
         for line, where in readers(path.read_text(encoding="utf-8"), "contains")
     ]
     assert found == []
+
+
+def leaf_classes(source: str) -> set[str]:
+    """The module-level classes that no other class of the module names as
+    a base."""
+    classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for cls in classes for base in cls.bases if isinstance(base, ast.Name)}
+    return {cls.name for cls in classes} - bases
+
+
+def raised_names(source: str) -> set[str]:
+    """The name of every class raised, as raise X, raise X(...) or
+    raise mod.X(...)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(exc, ast.Name):
+            found.add(exc.id)
+        elif isinstance(exc, ast.Attribute):
+            found.add(exc.attr)
+    return found
+
+
+def test_unraised_errors_detected():
+    errors = (
+        "class Base(Exception):\n    pass\n"
+        "class Graph(Base):\n    pass\n"
+        "class Loop(Graph):\n    pass\n"
+        "class Parse(Base):\n    pass\n"
+        "class Unused(Base):\n    pass\n"
+    )
+    assert leaf_classes(errors) == {"Loop", "Parse", "Unused"}
+    src = (
+        "raise Loop('edge (1, 1)')\nraise errors.Parse('bad line') from exc\n"
+        "try:\n    pass\nexcept Unused:\n    raise\n"
+    )
+    assert raised_names(src) == {"Loop", "Parse"}
+    assert leaf_classes(errors) - raised_names(src) == {"Unused"}
+
+
+def test_every_leaf_error_is_raised():
+    # an error class that nothing subclasses and nothing raises outlived
+    # the code that raised it
+    leaves = leaf_classes((ROOT / "src" / "edgedepth" / "errors.py").read_text(encoding="utf-8"))
+    raised = set().union(
+        *(raised_names(path.read_text(encoding="utf-8")) for path in (ROOT / "src").rglob("*.py"))
+    )
+    assert sorted(leaves - raised) == [] and len(leaves) >= 10

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,6 @@ from edgedepth.depth import depth_power
 from edgedepth.errors import (
     DisconnectedError,
     NoFullStateError,
-    NotUnicyclicError,
     TooLargeError,
 )
 from edgedepth.graphs import build_graph, cycle_profile, distances_from
@@ -26,7 +26,6 @@ from edgedepth.stability import (
     depth_limit,
     dstab_formula,
     dstab_oracle,
-    dstab_unicyclic,
     mt_bound,
     witness,
 )
@@ -48,46 +47,68 @@ def test_dstab_tree_values():
     assert dstab_formula(spider).value == 7 - 3
 
 
+def _unicyclic(edges):
+    """The one component report of dstab_formula on a connected unicyclic graph."""
+    (comp,) = dstab_formula(build_graph(edges)).components
+    assert comp.kind == "unicyclic"
+    return comp
+
+
 def test_dstab_unicyclic_odd():
-    assert dstab_unicyclic(build_graph(cycle_edges(3))).value == 2
-    assert dstab_unicyclic(build_graph(cycle_edges(5))).value == 3
-    assert dstab_unicyclic(build_graph(cycle_edges(7))).value == 4
+    assert _unicyclic(cycle_edges(3)).value == 2
+    assert _unicyclic(cycle_edges(5)).value == 3
+    assert _unicyclic(cycle_edges(7)).value == 4
     # triangle with a pendant path of length 2 at vertex 3
-    g = build_graph(cycle_edges(3) + [(3, 4), (4, 5)])
-    assert dstab_unicyclic(g).value == 5 - 1 - 2 + 1
+    res = _unicyclic(cycle_edges(3) + [(3, 4), (4, 5)])
+    assert res.value == 5 - 1 - 2 + 1 and res.note == "odd-cycle"
 
 
 def test_dstab_unicyclic_even():
-    assert dstab_unicyclic(build_graph(cycle_edges(6))).value == 4
-    assert dstab_unicyclic(build_graph(cycle_edges(8))).value == 5
-    g = build_graph(cycle_edges(6) + [(1, 7)])
-    assert dstab_unicyclic(g).value == 7 - 1 - 3 + 1
+    assert _unicyclic(cycle_edges(6)).value == 4
+    assert _unicyclic(cycle_edges(8)).value == 5
+    res = _unicyclic(cycle_edges(6) + [(1, 7)])
+    assert res.value == 7 - 1 - 3 + 1 and res.note == "even-cycle"
 
 
 def test_dstab_unicyclic_four_cycle_cases():
-    res = dstab_unicyclic(build_graph(cycle_edges(4)))
+    res = _unicyclic(cycle_edges(4))
     assert res.value == 1 and res.note == "four-cycle-pure"
     # one pendant leaves two adjacent degree-2 cycle vertices
-    g = build_graph(cycle_edges(4) + [(1, 5)])
-    res = dstab_unicyclic(g)
+    res = _unicyclic(cycle_edges(4) + [(1, 5)])
     assert res.value == 5 - 1 - 2 and res.note == "four-cycle-adjacent-deg2"
     # pendants on two opposite cycle vertices: no adjacent degree-2 pair
-    g = build_graph(cycle_edges(4) + [(1, 5), (3, 6)])
-    res = dstab_unicyclic(g)
+    res = _unicyclic(cycle_edges(4) + [(1, 5), (3, 6)])
     assert res.value == 6 - 2 - 1 and res.note == "four-cycle-remark"
 
 
-def test_dstab_unicyclic_rejects():
-    with pytest.raises(NotUnicyclicError):
-        dstab_unicyclic(build_graph(path_edges(4)))
-    with pytest.raises(NotUnicyclicError):
-        dstab_unicyclic(build_graph(complete_edges(4)))
-
-
 def test_four_cycle_cases_match_oracle():
-    for extra in ([(1, 5)], [(1, 5), (3, 6)], [(1, 5), (2, 6)], [(1, 5), (5, 6)]):
-        g = build_graph(cycle_edges(4) + extra)
-        assert dstab_unicyclic(g).value == dstab_oracle(g)
+    # every connected unicyclic graph on at most 7 vertices in networkx's
+    # graph atlas: each case is exact without warnings, and each 4-cycle
+    # case gives the oracle's value
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        build_graph([(u + 1, v + 1) for u, v in a.edges()])
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() >= 3
+        and a.number_of_edges() == a.number_of_nodes()
+        and nx.is_connected(a)
+    ]
+    assert len(graphs) == 54
+    notes = Counter()
+    for g in graphs:
+        rep = dstab_formula(g)
+        (comp,) = rep.components
+        assert rep.exact and rep.warnings == (), g.edges
+        notes[comp.note] += 1
+        if comp.note.startswith("four-cycle"):
+            assert comp.value == dstab_oracle(g), g.edges
+    assert notes == {
+        "odd-cycle": 37,
+        "even-cycle": 2,
+        "four-cycle-pure": 1,
+        "four-cycle-adjacent-deg2": 10,
+        "four-cycle-remark": 4,
+    }
 
 
 def test_four_cycle_case_unverified_when_oracle_too_large(monkeypatch):
