@@ -12,6 +12,10 @@ whose R + B is every vertex gives a monomial d with (I^n : d) = m
 graphs.spanning_unicyclic_subgraph cuts (spanning_unicyclic_monomial), it
 is every connected nonbipartite graph's depth-zero witness, which
 stability.witness checks.  The walk reads only cycle_profile's one cycle.
+
+cover_states returns one CoverGroup per reachable (R_n, B_n), holding every
+d_n that reaches it packed into ints: ass_formula reads R + B alone and
+decodes no d, and full_cover_monomial decodes one least d per full group.
 """
 from __future__ import annotations
 
@@ -42,11 +46,33 @@ MAX_LEVEL_MARGIN = 4
 
 
 @dataclass(frozen=True)
-class CoverState:
-    level: int
+class CoverGroup:
+    """One reachable (R_n, B_n) and every d_n that reaches it.
+
+    Each d is packed into one int of `codes`, a field of `width` bits per
+    variable with vertex 1 in the top field, so int order is the
+    lexicographic order of the exponent tuples.  A d is decoded only when
+    it is read (least_d, ds)."""
+
     r_set: tuple[int, ...]
     b_set: tuple[int, ...]
-    d: Monomial
+    codes: frozenset[int]
+    width: int
+    r: int
+
+    def least_d(self) -> Monomial:
+        """The lexicographically least d."""
+        return _decode(min(self.codes), self.width, self.r)
+
+    def ds(self) -> list[Monomial]:
+        """Every d, in lexicographic order."""
+        return [_decode(code, self.width, self.r) for code in sorted(self.codes)]
+
+
+def _decode(code: int, width: int, r: int) -> Monomial:
+    """The exponent tuple of a packed d (CoverGroup)."""
+    low = (1 << width) - 1
+    return tuple(code >> width * (r - v) & low for v in range(1, r + 1))
 
 
 def _validate_unicyclic_nonbipartite(g: Graph) -> tuple[tuple[int, ...], int]:
@@ -58,8 +84,10 @@ def _validate_unicyclic_nonbipartite(g: Graph) -> tuple[tuple[int, ...], int]:
     return cycle_profile(g).unique_cycle, component_k(g)
 
 
-def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...]:
-    """All distinct states (R_n, B_n, d_n) reachable at level n.
+def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverGroup, ...]:
+    """One CoverGroup per reachable (R_n, B_n) at level n, in (r_set, b_set)
+    order; trace prints each level's count of distinct (R, B, d) states to
+    stderr.
 
     A step's effect on (R, B) does not depend on d, so the walk keeps, for
     each (R, B) as a pair of vertex bitmasks, the set of its d values.  Each
@@ -73,7 +101,7 @@ def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...
     if n > g.r + MAX_LEVEL_MARGIN:
         raise TooLargeError(f"cover walk level {n}, cap is r + {MAX_LEVEL_MARGIN} (the level cap)")
     width = (2 * n - 1).bit_length()
-    unit = {v: 1 << width * (v - 1) for v in g.vertices}
+    unit = {v: 1 << width * (g.r - v) for v in g.vertices}
     nbrs = {v: sum(1 << w - 1 for w in g.neighbors(v)) for v in g.vertices}
     r_init = sum(1 << v - 1 for v in cycle)
     b_init = 0
@@ -101,16 +129,11 @@ def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverState, ...
         if trace:
             count = sum(len(ds) for ds in groups.values())
             print(f"level {level + 1}: {count} states", file=sys.stderr)
-    low = (1 << width) - 1
-    shifts = [width * (v - 1) for v in range(1, g.r + 1)]
-    out = []
-    for (r_set, b_set), ds in groups.items():
-        r_tuple, b_tuple = tuple(_members(r_set)), tuple(_members(b_set))
-        out.extend(
-            CoverState(n, r_tuple, b_tuple, tuple(d >> s & low for s in shifts))
-            for d in ds
-        )
-    out.sort(key=lambda s: (s.r_set, s.b_set, s.d))
+    out = [
+        CoverGroup(tuple(_members(r_set)), tuple(_members(b_set)), frozenset(ds), width, g.r)
+        for (r_set, b_set), ds in groups.items()
+    ]
+    out.sort(key=lambda grp: (grp.r_set, grp.b_set))
     return tuple(out)
 
 
@@ -144,24 +167,23 @@ def ass_formula(
     if n >= k:
         # the primes of a state depend only on R + B, so each distinct
         # cover is completed once
-        states = cover_states(g, n, trace=trace)
-        for covered in {frozenset(s.r_set + s.b_set) for s in states}:
+        groups = cover_states(g, n, trace=trace)
+        for covered in {frozenset(grp.r_set + grp.b_set) for grp in groups}:
             for completion in _minimal_cover_completions(g, covered):
                 primes.add(tuple(sorted(covered | set(completion))))
     return tuple(sorted(primes))
 
 
 def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
-    """n = component_bound(g) and the least d of a level-n state whose R + B
-    is every vertex, for connected unicyclic nonbipartite g; unchecked (see
-    stability.witness)."""
+    """n = component_bound(g) and the lexicographically least d of a level-n
+    state whose R + B is every vertex, for connected unicyclic nonbipartite
+    g; unchecked (see stability.witness)."""
     _validate_unicyclic_nonbipartite(g)
     n = component_bound(g)
-    full = set(g.vertices)
     candidates = [
-        s.d
-        for s in cover_states(g, n)
-        if set(s.r_set) | set(s.b_set) == full
+        grp.least_d()
+        for grp in cover_states(g, n)
+        if len(grp.r_set) + len(grp.b_set) == g.r  # R and B are disjoint
     ]
     if not candidates:
         raise NoFullStateError(

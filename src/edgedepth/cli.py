@@ -113,16 +113,18 @@ def cmd_analyze(args) -> int:
 def cmd_dstab(args) -> int:
     g = _load_graph(args.graph, args.max_r)
     payload: dict = {}
-    formula_report = None
-    if args.method in ("formula", "both"):
-        formula_report = stability.dstab_formula(g, field=args.field)
-        payload["formula"] = dataclasses.asdict(formula_report)
+    oracle = None
     if args.method in ("oracle", "both"):
+        # first, so that the formula reads this run's value and does not
+        # run the oracle on g again for a 4-cycle case
         oracle = stability.dstab_oracle(g, field=args.field, trace=args.trace)
         payload["oracle"] = oracle
-        if formula_report is not None:
+    if args.method in ("formula", "both"):
+        formula_report = stability.dstab_formula(g, field=args.field, _oracle=oracle)
+        payload["formula"] = dataclasses.asdict(formula_report)
+        if oracle is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
-            if formula_report.exact and formula_report.value != oracle:
+            if not payload["match"]:
                 _emit(payload, args.format)
                 raise MismatchError(
                     f"formula {formula_report.value} != oracle {oracle}"

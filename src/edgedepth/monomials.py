@@ -216,5 +216,5 @@ def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...],
         inside, s_mask = membership(ideal, m)
         s_mask, m = s_mask[~inside], m[~inside]
         ok = ~_divisors(ideal, np.where(s_mask, m, lcm))[2]
-        codes.update(np.unique(s_mask[ok] @ weights).tolist())
+        codes.update((s_mask[ok] @ weights).tolist())
     return tuple(sorted(tuple(i + 1 for i in range(r) if c >> i & 1) for c in codes))

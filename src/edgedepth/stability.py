@@ -97,7 +97,9 @@ class DstabReport:
     warnings: tuple[str, ...] = dc_field(default=())
 
 
-def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
+def dstab_formula(
+    g: Graph, field: FieldChoice = QQ, *, _oracle: int | None = None
+) -> DstabReport:
     """Closed-form dstab; exact for graphs whose components are all trees
     or unicyclic, otherwise an upper bound (exact=False).
 
@@ -107,6 +109,9 @@ def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
     proof, so each but the 4-cycle itself is cross-validated against the
     depth oracle over field; a mismatch, or a component too large for the
     oracle, downgrades the report to exact=False instead of failing.
+    _oracle is dstab_oracle(g, field) when the caller has already run it
+    (the CLI's dstab --method both); a connected g reads it in place of a
+    second oracle run.
     """
     dec = decompose(g)
     reports = []
@@ -130,7 +135,10 @@ def dstab_formula(g: Graph, field: FieldChoice = QQ) -> DstabReport:
         exact = prof.kind != "general"
         if note.startswith("four-cycle") and note != "four-cycle-pure":
             try:
-                oracle = dstab_oracle(sub, field=field)
+                if dec.p == 1 and _oracle is not None:  # sub is g itself
+                    oracle = _oracle
+                else:
+                    oracle = dstab_oracle(sub, field=field)
                 problem = "" if oracle == value else f"disagrees with oracle {oracle}"
             except TooLargeError as exc:
                 problem = f"unverified ({exc})"

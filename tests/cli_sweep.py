@@ -9,8 +9,9 @@ under ../src.  They use only the command line, so a copy of this file in
 another checkout's tests/ runs that checkout unchanged, and `cmp` of the
 two outputs says whether both give the same answers.  Per graph: analyze,
 dstab --trace, depth-seq --trace --max-power 3, and ass at powers 1..3
-under every --method.  The traces put each power's certificate (depth,
-witness, hint_hit, cells_scanned) on stderr, so cmp compares those too.
+under every --method, traced under --method formula.  The traces put each
+power's certificate (depth, witness, hint_hit, cells_scanned) and each
+cover-walk level's state count on stderr, so cmp compares those too.
 The default run takes about 40 s on a 2-core machine.
 """
 from __future__ import annotations
@@ -36,7 +37,8 @@ COMMANDS = [
     ["--trace", "dstab", GRAPH],
     ["--trace", "depth-seq", GRAPH, "--max-power", "3"],
 ] + [
-    ["ass", GRAPH, "--power", str(n), "--method", method]
+    (["--trace"] if method == "formula" else [])
+    + ["ass", GRAPH, "--power", str(n), "--method", method]
     for n in (1, 2, 3)
     for method in ("formula", "bruteforce", "both", "auto")
 ]

@@ -13,9 +13,9 @@ from conftest import (
     path_edges,
     random_connected_graph,
 )
+from edgedepth import assoc
 from edgedepth.assoc import (
     MAX_LEVEL_MARGIN,
-    CoverState,
     ass_formula,
     cover_states,
     full_cover_monomial,
@@ -28,6 +28,7 @@ from edgedepth.errors import (
 )
 from edgedepth.graphs import (
     build_graph,
+    component_bound,
     cycle_profile,
     decompose,
     is_unicyclic,
@@ -47,19 +48,20 @@ from edgedepth.stability import dstab_formula, witness
 
 def test_cover_states_triangle_levels():
     c3 = build_graph(cycle_edges(3))
-    level2 = cover_states(c3, 2)
-    assert len(level2) == 1
-    assert level2[0].r_set == (1, 2, 3)
-    assert level2[0].b_set == ()
-    assert level2[0].d == (1, 1, 1)
-    # one step multiplies d by an edge, so degree 5 split over three choices
-    level3 = cover_states(c3, 3)
-    assert sorted(s.d for s in level3) == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    (level2,) = cover_states(c3, 2)
+    assert (level2.r_set, level2.b_set) == ((1, 2, 3), ())
+    assert level2.ds() == [(1, 1, 1)] and level2.least_d() == (1, 1, 1)
+    # one step multiplies d by an edge, so degree 5 split over three
+    # choices, all in the one group R = {1, 2, 3}
+    (level3,) = cover_states(c3, 3)
+    assert level3.ds() == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    assert level3.least_d() == (1, 2, 2)
 
 
 def _reference_walk(g, top):
     """The tuple/frozenset walk that cover_states replaced, kept as an
-    oracle: {level: sorted states} for every level from k to top."""
+    oracle: {level: sorted (level, R, B, d) states} for every level from k
+    to top."""
     cycle = cycle_profile(g).unique_cycle
     k = (len(cycle) + 1) // 2
     r_init = frozenset(cycle)
@@ -70,12 +72,9 @@ def _reference_walk(g, top):
     states = {(r_init, b_init, tuple(d_init))}
     by_level = {}
     for level in range(k, top + 1):
-        out = [
-            CoverState(level, tuple(sorted(r_set)), tuple(sorted(b_set)), d)
-            for r_set, b_set, d in states
-        ]
-        out.sort(key=lambda s: (s.r_set, s.b_set, s.d))
-        by_level[level] = tuple(out)
+        by_level[level] = sorted(
+            (level, tuple(sorted(r_set)), tuple(sorted(b_set)), d) for r_set, b_set, d in states
+        )
         nxt = set()
         for r_set, b_set, d in states:
             for i in r_set:
@@ -94,7 +93,9 @@ def _reference_walk(g, top):
     return by_level
 
 
-def test_cover_states_match_reference_walk():
+def _reference_graphs():
+    """Odd cycles of length 3 to 9 with pendant paths, and seeded random
+    trees hung on a triangle or a pentagon."""
     graphs = []
     for length, tails in ((3, 3), (5, 2), (7, 1), (9, 0)):
         for t in range(tails + 1):
@@ -108,21 +109,56 @@ def test_cover_states_match_reference_walk():
         r = rng.randint(4, 6)
         edges = cycle_edges(length) + [(rng.randint(1, v - 1), v) for v in range(length + 1, r + 1)]
         graphs.append(build_graph(edges))
-    for g in graphs:
+    return graphs
+
+
+def test_cover_states_match_reference_walk():
+    # every (level, R, B, d) state, flattened out of the groups in order
+    for g in _reference_graphs():
         top = g.r + MAX_LEVEL_MARGIN
         for level, want in _reference_walk(g, top).items():
-            assert cover_states(g, level) == want, (g.edges, level)
+            got = [
+                (level, grp.r_set, grp.b_set, d) for grp in cover_states(g, level) for d in grp.ds()
+            ]
+            assert got == want, (g.edges, level)
     with pytest.raises(TooLargeError):
         cover_states(g, top + 1)
 
 
+def test_full_cover_monomial_is_the_lex_least_full_state():
+    for g in _reference_graphs():
+        n = component_bound(g)
+        full = [d for _, r_set, b_set, d in _reference_walk(g, n)[n] if len(r_set + b_set) == g.r]
+        assert full_cover_monomial(g) == (n, min(full)), g.edges
+
+
+def test_ass_formula_decodes_no_d(monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("ass_formula decoded a d")
+
+    monkeypatch.setattr(assoc, "_decode", no_decode)
+    g = build_graph(cycle_edges(3) + [(3, 4), (4, 5)])
+    with pytest.raises(AssertionError):
+        cover_states(g, 4)[0].least_d()
+    for n in range(1, 6):
+        assert ass_formula(g, n) == associated_primes_bruteforce(power(edge_ideal(g), n))
+
+
 def test_cover_state_degrees():
-    # d_n always has degree 2n - 1
+    # every d_n has degree 2n - 1, and each group's d's are distinct and
+    # in lexicographic order, the least first
     g = build_graph(cycle_edges(5) + [(1, 6)])
     for n in (3, 4, 5):
-        for state in cover_states(g, n):
-            assert sum(state.d) == 2 * n - 1
-            assert set(state.b_set).isdisjoint(state.r_set)
+        groups = cover_states(g, n)
+        assert [(grp.r_set, grp.b_set) for grp in groups] == sorted(
+            {(grp.r_set, grp.b_set) for grp in groups}
+        )
+        for grp in groups:
+            ds = grp.ds()
+            assert all(sum(d) == 2 * n - 1 for d in ds)
+            assert ds == sorted(set(ds)) and grp.least_d() == ds[0]
+            assert len(ds) == len(grp.codes)
+            assert set(grp.b_set).isdisjoint(grp.r_set)
 
 
 def test_cover_states_rejections():

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import cycle_edges, path_edges
+import edgedepth
 from edgedepth import assoc, depth, graphs, simplicial, stability
 from edgedepth.cli import _load_graph, build_parser, main
 from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
@@ -107,6 +110,41 @@ def test_depth_seq_verified(graph_file, capsys):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        C4LEAF_TEXT,  # four-cycle-adjacent-deg2
+        "1 2\n2 3\n3 4\n1 4\n1 5\n3 6\n",  # four-cycle-remark: leaves on opposite corners
+        "1 3\n1 7\n2 3\n3 5\n3 6\n4 5\n4 6\n",  # four-cycle-remark, a seeded benchmark draw
+    ],
+    ids=["C4+leaf", "C4+2oppleaves", "draw3"],
+)
+def test_dstab_both_runs_the_oracle_once(graph_file, capsys, monkeypatch, text):
+    # the formula cross-validates a connected 4-cycle graph with the value
+    # the CLI's own oracle run found
+    calls = []
+    oracle = stability.dstab_oracle
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("trace", False))
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "dstab_oracle", spy)
+    path = graph_file("g.txt", text)
+    code, out, _ = run(capsys, ["--format", "json", "dstab", path, "--method", "formula"])
+    assert code == 0 and calls == [False]
+    alone = json.loads(out)["formula"]
+    for trace in ([], ["--trace"]):
+        calls.clear()
+        code, out, _ = run(capsys, [*trace, "--format", "json", "dstab", path])
+        assert code == 0 and calls == [bool(trace)]
+        payload = json.loads(out)
+        assert payload["formula"] == alone and payload["match"] is True
+        (component,) = alone["components"]
+        assert component["note"] in ("four-cycle-adjacent-deg2", "four-cycle-remark")
+        assert component["exact"] and component["value"] == payload["oracle"]
+
+
 def test_ass_auto_runs_both_on_unicyclic(graph_file, capsys):
     path = graph_file("c3.txt", C3_TEXT)
     code, out, _ = run(capsys, ["--format", "json", "ass", path, "--power", "2"])
@@ -151,6 +189,28 @@ def test_ass_at_power_500_falls_back_without_deep_recursion(graph_file, capsys):
     code, out, _ = run(capsys, ["--format", "json", "ass", path, "--power", "500"])
     assert code == 0
     assert json.loads(out)["bruteforce"] == [[1], [2]]
+
+
+def test_colon_scan_leaves_numpy_ma_unimported(graph_file):
+    # np.unique imports numpy.ma on first use, which costs a fresh process
+    # about 14 ms and 0.6 MB of memory; the colon scan does without it
+    path = graph_file("c5.txt", "1 2\n2 3\n3 4\n4 5\n1 5\n")
+    script = (
+        "import sys\n"
+        "from edgedepth.cli import main\n"
+        f"assert main(['ass', {path!r}, '--power', '3', '--method', 'bruteforce']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(edgedepth.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_ass_auto_keeps_the_level_cap(graph_file, capsys):
