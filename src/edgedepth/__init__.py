@@ -6,7 +6,6 @@ from .simplicial import FieldChoice, SimplicialComplex, from_facets, reduced_hom
 from .depth import (
     DepthCertificate,
     betti_depth_crosscheck,
-    bipartite_power_complex,
     depth_bruteforce,
     depth_power,
     takayama_complex,
@@ -37,7 +36,6 @@ __all__ = [
     "reduced_homology_dims",
     "DepthCertificate",
     "betti_depth_crosscheck",
-    "bipartite_power_complex",
     "depth_bruteforce",
     "depth_power",
     "depth_sequence",

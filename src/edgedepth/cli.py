@@ -181,38 +181,6 @@ def cmd_ass(args) -> int:
     return EXIT_OK
 
 
-def _facets_from_arg(spec: str) -> list[list[int]]:
-    """A JSON list of facets, each a list of integer labels.  A float, a
-    bool or a string is refused rather than read as the integer it looks
-    like, so distinct labels never collapse into one vertex."""
-    try:
-        facets = json.loads(spec)
-    except ValueError as exc:
-        raise ParseError(f"bad facet list: {exc}") from None
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ParseError("bad facet list: facets must be a JSON list of lists")
-    for f in facets:
-        for v in f:
-            if type(v) is not int:  # bool is a subclass of int
-                raise ParseError(f"bad facet list: label {json.dumps(v)} is not an integer")
-    return facets
-
-
-def cmd_homology(args) -> int:
-    facets = _facets_from_arg(args.facets)
-    universe = {v for f in facets for v in f}
-    simplicial.check_rank_cap(facets)
-    cx = simplicial.from_facets(universe, facets)
-    dims = simplicial.reduced_homology_dims(cx, field=args.field)
-    payload = {
-        "field": str(args.field),
-        "dims": {str(d): dims[d] for d in sorted(dims)},
-        "facets": [list(f) for f in cx.facets],
-    }
-    _emit(payload, args.format)
-    return EXIT_OK
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -254,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("formula", "bruteforce", "both", "auto"), default="auto"
     )
     p.set_defaults(func=cmd_ass)
-
-    p = sub.add_parser("homology", help="reduced homology of a simplicial complex")
-    p.add_argument("--facets", required=True, help="JSON list of facets")
-    p.set_defaults(func=cmd_homology)
 
     return parser
 

@@ -48,7 +48,7 @@ the maximal ideal is not associated.  A caller may pass hint cells, which
 are grouped into keys and evaluated like any other cells.
 A hint that reaches the floor proves the depth and becomes the witness;
 nothing else is then looked at.  The vertex cap
-(graphs.MAX_VERTICES_DEFAULT), checked before any 2^r array is built,
+(graphs.check_vertex_cap), checked before any 2^r array is built,
 bounds every scan.  A hint that misses or lies outside the box is dropped.
 Without a hit, the witness is the cell of least (index, position in the
 box), as over the whole box, found in one of two ways:
@@ -114,8 +114,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InternalError, NotBipartiteError, TooLargeError
-from .graphs import MAX_VERTICES_DEFAULT, Graph, decompose, maximal_independent_sets
+from .errors import InternalError, TooLargeError
+from .graphs import Graph, check_vertex_cap, decompose, maximal_independent_sets
 from .monomials import (
     COLON_CHUNK_CELLS,
     MonomialIdeal,
@@ -128,7 +128,6 @@ from .simplicial import (
     QQ,
     FieldChoice,
     SimplicialComplex,
-    from_facets,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
     submasks,
@@ -162,10 +161,7 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialCo
     a = tuple(int(e) for e in alpha)
     if len(a) != ideal.r:
         raise ValueError("alpha length must equal the ambient variable count")
-    if ideal.r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(
-            f"takayama_complex of r={ideal.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)"
-        )
+    check_vertex_cap(ideal.r, "takayama_complex")
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     universe0 = [i for i in range(ideal.r) if a[i] >= 0]
@@ -179,29 +175,6 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialCo
         s for s in range(1 << len(universe0)) if all(b & ~s for b in bad_masks)
     )
     return SimplicialComplex(tuple(i + 1 for i in universe0), ok)
-
-
-def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> SimplicialComplex:
-    """D_a(I(g)^n) for bipartite g and nonnegative a: the facets are the
-    facets F of the independence complex with sum of a over the complement
-    of F at most n - 1."""
-    a = tuple(int(e) for e in alpha)
-    if len(a) != g.r:
-        raise ValueError("alpha length must equal the vertex count")
-    if any(e < 0 for e in a):
-        raise ValueError("alpha must be componentwise nonnegative here")
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    dec = decompose(g)
-    if dec.t:
-        raise NotBipartiteError("graph has an odd cycle")
-    total = sum(a)
-    facets = [
-        f
-        for f in maximal_independent_sets(g)
-        if total - sum(a[v - 1] for v in f) <= n - 1
-    ]
-    return from_facets(range(1, g.r + 1), facets)
 
 
 # Bound on a chunk's cell count, or a batch's key count, times the array
@@ -512,8 +485,7 @@ def _ideal_scan(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    if r > MAX_VERTICES_DEFAULT:  # before any 2^r array
-        raise TooLargeError(f"depth scan of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
+    check_vertex_cap(r, "depth scan")
     gens = gens_array(ideal)
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
     faces_of = _violation_faces(gens, sizes)
@@ -552,8 +524,7 @@ def _power_scan(
     """depth_power with a floor: a proven lower bound on the depth."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if g.r > MAX_VERTICES_DEFAULT:  # before the power and any 2^r array
-        raise TooLargeError(f"depth scan of r={g.r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
+    check_vertex_cap(g.r, "depth scan")  # before the power
     if decompose(g).t:
         return _ideal_scan(power(edge_ideal(g), n), field, hints, floor)
     facets = maximal_independent_sets(g)
@@ -621,10 +592,7 @@ def betti_depth_crosscheck(ideal: MonomialIdeal, field: FieldChoice = QQ) -> int
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    if r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(
-            f"betti crosscheck of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)"
-        )
+    check_vertex_cap(r, "betti crosscheck")
     lcm = gens_array(ideal).max(axis=0).astype(np.int64)
     cells = math.prod(int(e) + 1 for e in lcm)
     if cells > MAX_BOX_DEFAULT:

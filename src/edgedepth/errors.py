@@ -25,10 +25,6 @@ class DisconnectedError(GraphError):
     pass
 
 
-class NotBipartiteError(GraphError):
-    pass
-
-
 class NotUnicyclicNonbipartiteError(GraphError):
     pass
 

@@ -133,15 +133,6 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return multiply(power(ideal, n - 1), ideal)
 
 
-def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
-    """(I : x^m)."""
-    mt = tuple(int(e) for e in m)
-    if ideal.is_zero:
-        return ideal
-    quotients = {tuple(max(g_i - m_i, 0) for g_i, m_i in zip(g, mt)) for g in ideal.gens}
-    return minimalize(ideal.r, quotients)
-
-
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _bitsets(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lcm, offsets, table): table[offsets[i] + v] is the bitset of the

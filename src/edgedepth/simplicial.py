@@ -128,15 +128,6 @@ def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> Sim
     return SimplicialComplex(universe=uni, faces=frozenset(faces))
 
 
-def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; the universes must be disjoint.  Joining with the
-    void complex gives the void complex; {emptyset} is the identity."""
-    if set(a.universe) & set(b.universe):
-        raise ValueError("join requires disjoint universes")
-    facets = [fa + fb for fa in a.facets for fb in b.facets]
-    return from_facets(a.universe + b.universe, facets)
-
-
 def is_cone(cx: SimplicialComplex) -> Optional[int]:
     """The least vertex contained in every facet, or None.  Removing v maps
     the faces through v one-to-one into the faces without v, and onto them
@@ -226,23 +217,6 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dic
             f"homology of {len(cx.faces)} faces, cap is {MAX_RANK_FACES} (the rank cap)"
         )
     return _rank_homology_dims(cx, field)
-
-
-def check_rank_cap(facets: Iterable[Iterable[int]]) -> None:
-    """Refuse a facet list before from_facets builds its complex, when
-    reduced_homology_dims would refuse the complex for its largest facet
-    alone: a facet of k vertices brings 2^k faces, over MAX_RANK_FACES, and
-    the complex is not a cone, that is, no vertex lies in all of its
-    maximal facets."""
-    sets = {frozenset(int(v) for v in f) for f in facets}
-    k = max(map(len, sets), default=0)
-    if 1 << k <= MAX_RANK_FACES:
-        return
-    maximal = [s for s in sets if not any(s < t for t in sets)]
-    if not frozenset.intersection(*maximal):
-        raise TooLargeError(
-            f"homology of at least {1 << k} faces, cap is {MAX_RANK_FACES} (the rank cap)"
-        )
 
 
 def _rank_homology_dims(cx: SimplicialComplex, field: FieldChoice) -> dict[int, int]:

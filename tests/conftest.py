@@ -5,9 +5,15 @@ import itertools
 import random
 from typing import Iterable, Sequence
 
-from edgedepth.graphs import Graph, build_graph, minimal_vertex_covers
+from edgedepth.graphs import (
+    Graph,
+    build_graph,
+    decompose,
+    maximal_independent_sets,
+    minimal_vertex_covers,
+)
 from edgedepth.monomials import Monomial, MonomialIdeal, minimalize
-from edgedepth.simplicial import SimplicialComplex
+from edgedepth.simplicial import SimplicialComplex, from_facets
 
 # One line per acceptance criterion, echoed after the test summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -155,6 +161,15 @@ def maximal_ideal(r: int) -> MonomialIdeal:
     return variable_ideal(r, range(1, r + 1))
 
 
+def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
+    """(I : x^m)."""
+    mt = tuple(int(e) for e in m)
+    if ideal.is_zero:
+        return ideal
+    quotients = {tuple(max(g_i - m_i, 0) for g_i, m_i in zip(g, mt)) for g in ideal.gens}
+    return minimalize(ideal.r, quotients)
+
+
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -201,8 +216,39 @@ def symbolic_member(g: Graph, n: int, m: Sequence[int]) -> bool:
     return True
 
 
+def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> SimplicialComplex:
+    """D_a(I(g)^n) for bipartite g and nonnegative a: the facets are the
+    facets F of the independence complex with sum of a over the complement
+    of F at most n - 1.  The scan's facet route rests on this description."""
+    a = tuple(int(e) for e in alpha)
+    if len(a) != g.r:
+        raise ValueError("alpha length must equal the vertex count")
+    if any(e < 0 for e in a):
+        raise ValueError("alpha must be componentwise nonnegative here")
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    if decompose(g).t:
+        raise ValueError("graph has an odd cycle")
+    total = sum(a)
+    facets = [
+        f
+        for f in maximal_independent_sets(g)
+        if total - sum(a[v - 1] for v in f) <= n - 1
+    ]
+    return from_facets(range(1, g.r + 1), facets)
+
+
 def void_complex(universe: Iterable[int] = ()) -> SimplicialComplex:
     return SimplicialComplex(universe=tuple(sorted(set(universe))), faces=frozenset())
+
+
+def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    """Simplicial join; the universes must be disjoint.  Joining with the
+    void complex gives the void complex; {emptyset} is the identity."""
+    if set(a.universe) & set(b.universe):
+        raise ValueError("join requires disjoint universes")
+    facets = [fa + fb for fa in a.facets for fb in b.facets]
+    return from_facets(a.universe + b.universe, facets)
 
 
 def euler_characteristic_reduced(cx: SimplicialComplex) -> int:

@@ -15,9 +15,12 @@ import numpy as np
 import conftest
 from conftest import (
     add,
+    bipartite_power_complex,
+    colon,
     cycle_edges,
     intersect,
     isomorphism_classes,
+    join,
     maximal_ideal,
     path_edges,
     random_connected_graph,
@@ -28,7 +31,6 @@ from conftest import (
 from edgedepth.assoc import ass_formula
 from edgedepth.depth import (
     betti_depth_crosscheck,
-    bipartite_power_complex,
     depth_bruteforce,
     depth_power,
     takayama_complex,
@@ -42,7 +44,6 @@ from edgedepth.graphs import (
 )
 from edgedepth.monomials import (
     associated_primes_bruteforce,
-    colon,
     contains,
     edge_ideal,
     gens_array,
@@ -53,7 +54,6 @@ from edgedepth.monomials import (
 from edgedepth.simplicial import (
     from_facets,
     is_cone,
-    join,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
 )

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import (
+    colon,
     complete_edges,
     cycle_edges,
     maximal_ideal,
@@ -38,7 +39,6 @@ from edgedepth.graphs import (
 )
 from edgedepth.monomials import (
     associated_primes_bruteforce,
-    colon,
     edge_ideal,
     monomial_mul,
     power,

@@ -5,19 +5,18 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from conftest import cycle_edges, path_edges
 import edgedepth
-from edgedepth import assoc, depth, graphs, simplicial, stability
+from edgedepth import assoc, depth, graphs, stability
 from edgedepth.cli import _load_graph, build_parser, main
 from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
 from edgedepth.errors import TooLargeError
 from edgedepth.monomials import associated_primes_bruteforce, minimalize
-from edgedepth.simplicial import FieldChoice, from_facets
+from edgedepth.simplicial import FieldChoice, SimplicialComplex, from_facets, reduced_homology_dims
 
 
 @pytest.fixture
@@ -262,33 +261,6 @@ def test_oracle_past_its_bound_exits_5(graph_file, capsys, monkeypatch):
     assert err == "internal error: depth did not reach the limit 1 within the bound 1\n"
 
 
-def test_homology_command(capsys):
-    code, out, _ = run(
-        capsys,
-        [
-            "--format",
-            "json",
-            "homology",
-            "--facets",
-            "[[1,2],[2,3],[3,4],[1,4]]",
-        ],
-    )
-    assert code == 0
-    assert json.loads(out)["dims"]["1"] == 1
-
-
-def test_homology_gf2(capsys):
-    rp2 = (
-        "[[1,2,3],[1,2,4],[1,3,5],[1,4,6],[1,5,6],"
-        "[2,3,6],[2,4,5],[2,5,6],[3,4,5],[3,4,6]]"
-    )
-    code, out, _ = run(capsys, ["--format", "json", "--field", "gf:2", "homology", "--facets", rp2])
-    assert code == 0
-    assert json.loads(out)["dims"]["1"] == 1
-    code, out, _ = run(capsys, ["--format", "json", "homology", "--facets", rp2])
-    assert json.loads(out)["dims"]["1"] == 0
-
-
 def test_exit_code_parse_error(graph_file, capsys):
     path = graph_file("bad.txt", "1 2 3\n")
     code, _, err = run(capsys, ["analyze", path])
@@ -316,15 +288,13 @@ def test_exit_code_caps(graph_file, capsys):
     path = graph_file("c6.txt", C6_TEXT)
     code, _, _ = run(capsys, ["--max-r", "4", "analyze", path])
     assert code == 3
-    facet = json.dumps([list(range(1, 22))])  # 2^21 faces
-    code, _, err = run(capsys, ["homology", "--facets", facet])
-    assert code == 3 and "face cap" in err
 
 
 _BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over both box caps
 _R17 = minimalize(17, [(1,) * 17])
 _P17 = graphs.build_graph(path_edges(17))
 _C3 = graphs.build_graph(cycle_edges(3))
+_S17 = SimplicialComplex(tuple(range(1, 18)), frozenset(range((1 << 17) - 1)))
 
 
 @pytest.mark.parametrize(
@@ -342,11 +312,13 @@ _C3 = graphs.build_graph(cycle_edges(3))
         (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
         (lambda gf: assoc.cover_states(_C3, 8), "cap is r + 4 (the level cap)"),
         (lambda gf: from_facets(range(1, 22), [range(1, 22)]), "(the face cap)"),
+        # the boundary of the 17-vertex simplex: 2^17 - 1 faces, not a cone
+        (lambda gf: reduced_homology_dims(_S17), "cap is 65536 (the rank cap)"),
     ],
     ids=[
         "load-graph", "depth-power-r", "depth-bruteforce-r", "takayama-r", "betti-r",
         "depth-box", "betti-box", "colon-box", "cycles", "independent-sets", "walk-level",
-        "faces",
+        "faces", "rank",
     ],
 )
 def test_each_cap_names_itself(graph_file, trigger, name):
@@ -456,42 +428,22 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("facets", ['[[1.5, 2]]', '[[true, 2]]', '[["1", "2"]]'])
-def test_homology_rejects_non_integer_labels(capsys, facets):
-    code, out, err = run(capsys, ["homology", "--facets", facets])
-    assert code == 2 and out == "" and "not an integer" in err
-
-
-def _simplex_boundary(m: int) -> str:
-    return json.dumps([[v for v in range(1, m + 1) if v != skip] for skip in range(1, m + 1)])
-
-
-def test_homology_rank_cap(capsys, monkeypatch):
-    # the 20-vertex boundary passes the face cap but not the rank cap, and
-    # is refused from its facets, before its complex is built
-    built = []
-    monkeypatch.setattr(simplicial, "from_facets", lambda *a: built.append(a) or from_facets(*a))
-    start = time.perf_counter()
-    code, _, err = run(capsys, ["homology", "--facets", _simplex_boundary(20)])
-    assert code == 3 and "cap is 65536 (the rank cap)" in err
-    assert time.perf_counter() - start < 10
-    assert built == []
-    code, out, err = run(capsys, ["--format", "json", "homology", "--facets", _simplex_boundary(16)])
-    assert code == 0, err
-    assert {d: n for d, n in json.loads(out)["dims"].items() if n} == {"14": 1}
-    # a cone over the rank cap, vertex 1 in both maximal facets, is acyclic
-    cone = json.dumps([list(range(1, 18)), [1, 18], [2, 3]])
-    code, out, err = run(capsys, ["--format", "json", "homology", "--facets", cone])
-    assert code == 0 and not any(json.loads(out)["dims"].values()), err
-    assert len(built) == 2
-
-
 def test_exit_code_bad_field(graph_file, capsys):
-    code, _, _ = run(capsys, ["--field", "gf:6", "homology", "--facets", "[[1]]"])
+    path = graph_file("c3.txt", C3_TEXT)
+    code, _, _ = run(capsys, ["--field", "gf:6", "analyze", path])
     assert code == 2
     huge = "gf:1000000000000000003"  # a prime too large for trial division
-    code, _, err = run(capsys, ["--field", huge, "homology", "--facets", "[[1, 2]]"])
+    code, _, err = run(capsys, ["--field", huge, "analyze", path])
     assert code == 2 and "2^31" in err
+
+
+def test_only_the_graph_commands_remain(capsys):
+    # reduced homology is a library routine (simplicial), not a command
+    with pytest.raises(SystemExit) as info:
+        main(["homology", "--facets", "[[1]]"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and "invalid choice" in err and "homology" in err
+    assert "{analyze,dstab,depth-seq,ass}" in build_parser().format_help()
 
 
 def test_every_command_checks_the_field(graph_file, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bipartite_power_complex,
     complete_edges,
     cycle_edges,
     localize,
@@ -23,12 +24,11 @@ from edgedepth import depth
 from edgedepth.depth import (
     _homology,
     betti_depth_crosscheck,
-    bipartite_power_complex,
     depth_bruteforce,
     depth_power,
     takayama_complex,
 )
-from edgedepth.errors import NotBipartiteError, TooLargeError
+from edgedepth.errors import TooLargeError
 from edgedepth.graphs import build_graph, decompose, induced_subgraph, maximal_independent_sets
 from edgedepth.monomials import (
     associated_primes_bruteforce,
@@ -145,7 +145,7 @@ def test_bipartite_power_complex_examples():
 
 
 def test_bipartite_power_complex_rejects_odd_cycle():
-    with pytest.raises(NotBipartiteError):
+    with pytest.raises(ValueError, match="odd cycle"):
         bipartite_power_complex(build_graph(cycle_edges(3)), (0, 0, 0), 1)
 
 

@@ -2,7 +2,8 @@
 module in src/ takes an underscore name from another, every size cap
 names itself when it refuses, every memo in src/ is bounded, and every
 parameter in src/ is read, every leaf error class is raised; only
-graphs.py searches for cycles."""
+graphs.py searches for cycles, and only graphs.check_vertex_cap refuses
+work over the vertex cap."""
 from __future__ import annotations
 
 import ast
@@ -159,6 +160,46 @@ def test_cap_messages_name_their_cap():
             if message is None or not _CAP_MESSAGE.fullmatch(message):
                 bad.append(f"{where} line {line}: {message!r}")
     assert bad == [] and count >= 10
+
+
+def vertex_cap_raisers(source: str) -> list[tuple[int, str]]:
+    """(line, where) of every raise TooLargeError(...) whose message names
+    the vertex cap; where is the top-level def or class around it
+    ("<module>" at the top level)."""
+    tree = ast.parse(source)
+    spans = [
+        (node.lineno, node.end_lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    return [
+        (line, next((name for lo, hi, name in spans if lo <= line <= hi), "<module>"))
+        for line, message in cap_messages(source)
+        if message and "(the vertex cap)" in message
+    ]
+
+
+def test_vertex_cap_raisers_detected():
+    src = (
+        "def check(r, what):\n"
+        "    if r > CAP:\n"
+        "        raise TooLargeError(f'{what} of r={r}, cap is {CAP} (the vertex cap)')\n"
+        "def scan(r):\n"
+        "    raise TooLargeError(f'box of {r}, cap is {CAP} (the box cap)')\n"
+        "raise TooLargeError(f'scan of r={r}, cap is {CAP} (the vertex cap)')\n"
+    )
+    assert vertex_cap_raisers(src) == [(3, "check"), (6, "<module>")]
+
+
+def test_vertex_cap_is_checked_only_in_graphs():
+    # graphs.check_vertex_cap alone decides what the vertex cap is and how
+    # a refusal reads; every other module calls it
+    found = [
+        (path.relative_to(ROOT / "src").as_posix(), where)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, where in vertex_cap_raisers(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("edgedepth/graphs.py", "check_vertex_cap")]
 
 
 def _decorator_name(node: ast.expr) -> str | None:

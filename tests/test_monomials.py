@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     add,
+    colon,
     complete_edges,
     cycle_edges,
     path_edges,
@@ -28,7 +29,6 @@ from edgedepth.monomials import (
     COLON_CHUNK_CELLS,
     MonomialIdeal,
     associated_primes_bruteforce,
-    colon,
     contains,
     edge_ideal,
     gens_array,

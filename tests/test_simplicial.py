@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import euler_characteristic_reduced, void_complex
+from conftest import euler_characteristic_reduced, join, void_complex
 from edgedepth import simplicial
 from edgedepth.simplicial import (
     QQ,
     FieldChoice,
     from_facets,
     is_cone,
-    join,
     min_nonvanishing_reduced_homology,
     reduced_homology_dims,
 )
@@ -71,12 +70,14 @@ def test_sphere_boundary():
     # boundary of the tetrahedron is a 2-sphere
     cx = from_facets([1, 2, 3, 4], [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
     assert reduced_homology_dims(cx) == {-1: 0, 0: 0, 1: 0, 2: 1}
-    # the boundary of the 13-vertex simplex is an 11-sphere, and no cone
-    cx = from_facets(range(1, 14), [
-        [v for v in range(1, 14) if v != skip] for skip in range(1, 14)
-    ])
-    assert is_cone(cx) is None
-    assert reduced_homology_dims(cx) == {d: int(d == 11) for d in range(-1, 12)}
+    # the boundary of the m-vertex simplex is an (m - 2)-sphere, and no
+    # cone; at m = 16 its 2^16 - 1 faces are the most the rank cap lets through
+    for m in (13, 16):
+        cx = from_facets(range(1, m + 1), [
+            [v for v in range(1, m + 1) if v != skip] for skip in range(1, m + 1)
+        ])
+        assert is_cone(cx) is None and len(cx.faces) <= simplicial.MAX_RANK_FACES
+        assert reduced_homology_dims(cx) == {d: int(d == m - 2) for d in range(-1, m - 1)}
 
 
 def test_projective_plane_characteristic_dependence():
@@ -162,6 +163,11 @@ def test_simplex_homology_needs_no_rank(monkeypatch):
     monkeypatch.setattr(simplicial, "_matrix_rank", no_rank)
     cx = from_facets(range(1, 12), [range(1, 12)])
     assert reduced_homology_dims(cx) == {d: 0 for d in range(-1, 11)}
+    # vertex 1 lies in both maximal facets: a cone of 2^17 + 2 faces, over
+    # the rank cap, is acyclic all the same
+    cx = from_facets(range(1, 19), [range(1, 18), [1, 18], [2, 3]])
+    assert len(cx.faces) > simplicial.MAX_RANK_FACES
+    assert not any(reduced_homology_dims(cx).values())
 
 
 def _dense_rank(columns: list[dict[int, int]], p) -> int:
