@@ -27,7 +27,7 @@ from .errors import (
     LevelBelowStartError,
     NoFullStateError,
     NotUnicyclicNonbipartiteError,
-    TooLargeError,
+    check_cap,
 )
 from .graphs import (
     Graph,
@@ -42,8 +42,6 @@ from .graphs import (
 )
 from .monomials import Monomial
 
-MAX_LEVEL_MARGIN = 4
-
 
 @dataclass(frozen=True)
 class CoverGroup:
@@ -52,7 +50,7 @@ class CoverGroup:
     Each d is packed into one int of `codes`, a field of `width` bits per
     variable with vertex 1 in the top field, so int order is the
     lexicographic order of the exponent tuples.  A d is decoded only when
-    it is read (least_d, ds)."""
+    it is read (least_d)."""
 
     r_set: tuple[int, ...]
     b_set: tuple[int, ...]
@@ -63,10 +61,6 @@ class CoverGroup:
     def least_d(self) -> Monomial:
         """The lexicographically least d."""
         return _decode(min(self.codes), self.width, self.r)
-
-    def ds(self) -> list[Monomial]:
-        """Every d, in lexicographic order."""
-        return [_decode(code, self.width, self.r) for code in sorted(self.codes)]
 
 
 def _decode(code: int, width: int, r: int) -> Monomial:
@@ -98,8 +92,7 @@ def cover_states(g: Graph, n: int, trace: bool = False) -> tuple[CoverGroup, ...
     cycle, k = _validate_unicyclic_nonbipartite(g)
     if n < k:
         raise LevelBelowStartError(f"level {n} is below the start level k={k}")
-    if n > g.r + MAX_LEVEL_MARGIN:
-        raise TooLargeError(f"cover walk level {n}, cap is r + {MAX_LEVEL_MARGIN} (the level cap)")
+    check_cap("level", n - g.r, f"cover walk level {n} is r + {n - g.r}")
     width = (2 * n - 1).bit_length()
     unit = {v: 1 << width * (g.r - v) for v in g.vertices}
     nbrs = {v: sum(1 << w - 1 for w in g.neighbors(v)) for v in g.vertices}

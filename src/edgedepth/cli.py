@@ -196,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="trace to stderr: per power for dstab and depth-seq, per walk level for ass",
+        help=(
+            "trace to stderr: per power for the dstab oracle and depth-seq, per level "
+            "for the ass cover walk; no other route prints a trace"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

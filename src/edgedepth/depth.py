@@ -47,17 +47,17 @@ and 1 on the facet route, since a bipartite g has no embedded primes and
 the maximal ideal is not associated.  A caller may pass hint cells, which
 are grouped into keys and evaluated like any other cells.
 A hint that reaches the floor proves the depth and becomes the witness;
-nothing else is then looked at.  The vertex cap
-(graphs.check_vertex_cap), checked before any 2^r array is built,
-bounds every scan.  A hint that misses or lies outside the box is dropped.
-Without a hit, the witness is the cell of least (index, position in the
-box), as over the whole box, found in one of two ways:
+nothing else is then looked at.  A hint that misses or lies outside the
+box is dropped.  The vertex cap, checked before any 2^r array is built,
+bounds every scan; it and the box and state caps below are entries of
+errors.CAPS, checked by errors.check_cap.  Without a hit, the witness
+is the cell of least (index, position in the box), as over the whole
+box, found in one of two ways:
 
 - The generator route scans the box in order, in chunks of cells, up to
   the first chunk that reaches the floor.  Each chunk's cells are grouped
   by (|G_a|, complex) into keys, each key standing at its first cell, and
-  evaluated.  A box of more than MAX_BOX_DEFAULT cells is refused (the box
-  cap).
+  evaluated.  A box over the box cap's cell count is refused.
 - The facet route walks the box one coordinate at a time (_walk).  Cells
   whose partial keys agree are merged into one state at each step: the
   negative support so far and each facet's weight outside it, capped at n.
@@ -65,8 +65,8 @@ box), as over the whole box, found in one of two ways:
   n = 4 has 6,437 states over its layers against 390,625 cells.  Each
   state keeps the least box prefix that reaches it, so the final states
   come in order of their least cell and are evaluated in that order, one
-  key each.  A layer whose candidate states would take more than
-  MAX_STATE_BYTES is refused (the state cap); there is no box cap.
+  key each.  A layer whose candidate states would take more bytes than
+  the state cap is refused; there is no box cap.
 
 So a witness is the least box cell unless hint_hit is set.
 
@@ -114,8 +114,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InternalError, TooLargeError
-from .graphs import Graph, check_vertex_cap, decompose, maximal_independent_sets
+from .errors import InternalError, check_cap
+from .graphs import Graph, decompose, maximal_independent_sets
 from .monomials import (
     COLON_CHUNK_CELLS,
     MonomialIdeal,
@@ -132,9 +132,6 @@ from .simplicial import (
     reduced_homology_dims,
     submasks,
 )
-
-MAX_BOX_DEFAULT = 5_000_000
-MAX_STATE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialCo
     a = tuple(int(e) for e in alpha)
     if len(a) != ideal.r:
         raise ValueError("alpha length must equal the ambient variable count")
-    check_vertex_cap(ideal.r, "takayama_complex")
+    check_cap("vertex", ideal.r, f"takayama_complex of r={ideal.r}")
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     universe0 = [i for i in range(ideal.r) if a[i] >= 0]
@@ -363,8 +360,7 @@ def _box_search(
     entry count of the largest array a chunk takes.  Returns the best
     (value, cell, homology dim) and the cells scanned."""
     n_cells = math.prod(sizes)
-    if n_cells > MAX_BOX_DEFAULT:
-        raise TooLargeError(f"depth box has {n_cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
+    check_cap("box", n_cells, f"depth box has {n_cells} cells")
     radix = np.array(sizes, dtype=np.int64)
     weights = np.cumprod(radix[::-1])[::-1] // radix
     chunk = max(1, _CHUNK_BUDGET // width)
@@ -426,7 +422,8 @@ def _walk(
     outside[f, j] says vertex j + 1 is outside facet f, and facet f is the
     vertex set tops[f].  Returns the best (value, cell, homology dim) and
     the live states summed over the layers.  A layer whose candidates'
-    packed keys would take more than MAX_STATE_BYTES raises TooLargeError."""
+    packed keys would take more bytes than the state cap raises
+    TooLargeError."""
     n_facets, r = outside.shape
     wtype = np.min_scalar_type(2 * n)  # holds a weight plus an addend
     outside = outside.astype(wtype)
@@ -439,11 +436,8 @@ def _walk(
         slots = _slots(n_facets, 1 if last else n.bit_length(), r)
         k = 1 + slots[-1][0]
         rows = len(neg) * (n + 1)
-        if rows * k * 8 > MAX_STATE_BYTES:
-            raise TooLargeError(
-                f"depth walk layer {j + 1} needs {rows * k * 8} bytes of states, "
-                f"cap is {MAX_STATE_BYTES} (the state cap)"
-            )
+        size = rows * k * 8
+        check_cap("state", size, f"depth walk layer {j + 1} needs {size} bytes of states")
         keys = np.empty((len(neg), n + 1, k), dtype=np.uint64)
         for d, add in enumerate(adds):
             cand = np.minimum(weights + add * outside[:, j], n)
@@ -485,7 +479,7 @@ def _ideal_scan(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    check_vertex_cap(r, "depth scan")
+    check_cap("vertex", r, f"depth scan of r={r}")
     gens = gens_array(ideal)
     sizes = [int(e) + 1 for e in gens.max(axis=0)]
     faces_of = _violation_faces(gens, sizes)
@@ -524,7 +518,7 @@ def _power_scan(
     """depth_power with a floor: a proven lower bound on the depth."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    check_vertex_cap(g.r, "depth scan")  # before the power
+    check_cap("vertex", g.r, f"depth scan of r={g.r}")  # before the power
     if decompose(g).t:
         return _ideal_scan(power(edge_ideal(g), n), field, hints, floor)
     facets = maximal_independent_sets(g)
@@ -592,11 +586,10 @@ def betti_depth_crosscheck(ideal: MonomialIdeal, field: FieldChoice = QQ) -> int
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("ideal must be proper and nonzero")
     r = ideal.r
-    check_vertex_cap(r, "betti crosscheck")
+    check_cap("vertex", r, f"betti crosscheck of r={r}")
     lcm = gens_array(ideal).max(axis=0).astype(np.int64)
     cells = math.prod(int(e) + 1 for e in lcm)
-    if cells > MAX_BOX_DEFAULT:
-        raise TooLargeError(f"degree box has {cells} cells, cap is {MAX_BOX_DEFAULT} (the box cap)")
+    check_cap("box", cells, f"degree box has {cells} cells")
     strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
     inside: list[bool] = []  # x^b in I, for b at each flat index of the box
     for off in range(0, cells, COLON_CHUNK_CELLS):

@@ -24,18 +24,8 @@ from .errors import (
     LoopEdgeError,
     NotUnicyclicNonbipartiteError,
     ParseError,
-    TooLargeError,
+    check_cap,
 )
-
-MAX_VERTICES_DEFAULT = 16
-
-
-def check_vertex_cap(r: int, what: str) -> None:
-    """Refuse work on r vertices, over the vertex cap, before any 2^r
-    array is built; what names the work in the message."""
-    if r > MAX_VERTICES_DEFAULT:
-        raise TooLargeError(f"{what} of r={r}, cap is {MAX_VERTICES_DEFAULT} (the vertex cap)")
-
 
 # Entries kept by each memo of a graph or an ideal (cycle_profile here,
 # monomials.power, gens_array and _bitsets), least recently used first out,
@@ -238,7 +228,7 @@ def cycle_profile(g: Graph) -> CycleProfile:
     """What the formulas read off g's cycles; cached.  The kind comes from
     the cycle rank e - r + p, each parity's longest cycle from the first
     length r, r - 1, ... of that parity with one (no odd one if bipartite)."""
-    check_vertex_cap(g.r, "cycles")
+    check_cap("vertex", g.r, f"cycles of r={g.r}")
     dec = decompose(g)
     rank = g.num_edges - g.r + dec.p
     if rank == 0:
@@ -313,7 +303,7 @@ def is_unicyclic(g: Graph) -> bool:
 def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal independent sets, sorted.  Bron-Kerbosch with pivoting on
     the complement graph."""
-    check_vertex_cap(g.r, "independent sets")
+    check_cap("vertex", g.r, f"independent sets of r={g.r}")
     r = g.r
     full = (1 << r) - 1
     nonadj = [0] * r  # bit i set in nonadj[v] when v+1 and i+1 are non-adjacent, v != i

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import check_cap
 from .graphs import CACHE_ENTRIES, Graph
 
 Monomial = tuple[int, ...]
@@ -29,21 +29,9 @@ Monomial = tuple[int, ...]
 # uint64 bitsets per variable; much larger chunks raise the peak RSS.
 COLON_CHUNK_CELLS = 4096
 
-# Cells of the largest lcm box the colon scan will visit.
-MAX_COLON_CELLS = 2_000_000
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_str(m: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(m, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -58,11 +46,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return bool(self.gens) and all(e == 0 for e in self.gens[0])
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(monomial_str(m) for m in self.gens) + ")"
 
 
 def minimalize(r: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
@@ -196,8 +179,7 @@ def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...],
     r = ideal.r
     lcm = gens_array(ideal).max(axis=0).astype(np.int64)
     cells = math.prod(int(e) + 1 for e in lcm)
-    if cells > MAX_COLON_CELLS:
-        raise TooLargeError(f"colon box has {cells} cells, cap is {MAX_COLON_CELLS} (the colon cap)")
+    check_cap("colon", cells, f"colon box has {cells} cells")
     strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
     weights = 1 << np.arange(r, dtype=np.int64)
     codes: set[int] = set()

@@ -19,13 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import TooLargeError
-from .graphs import MAX_VERTICES_DEFAULT
-
-MAX_FACES_DEFAULT = 1 << 20
-# Homology by ranks only up to this many faces: every complex on at most
-# the vertex cap of the depth scan passes.
-MAX_RANK_FACES = 1 << MAX_VERTICES_DEFAULT
+from .errors import check_cap
 
 
 @dataclass(frozen=True)
@@ -67,10 +61,6 @@ class SimplicialComplex:
         return not self.faces
 
     @property
-    def is_irrelevant(self) -> bool:
-        return self.faces == {0}
-
-    @property
     def dim(self) -> int:
         """Dimension; -1 for the irrelevant complex.  Undefined (raises) for
         the void complex."""
@@ -104,7 +94,7 @@ def submasks(mask: int) -> list[int]:
 
 def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """The complex generated by facets (maximality is not required); more
-    than MAX_FACES_DEFAULT faces raises TooLargeError."""
+    faces than the face cap (errors.CAPS) raises TooLargeError."""
     uni = tuple(sorted(set(int(v) for v in universe)))
     pos = {v: i for i, v in enumerate(uni)}
     faces: set[int] = set()
@@ -113,18 +103,12 @@ def from_facets(universe: Iterable[int], facets: Iterable[Iterable[int]]) -> Sim
         if not labels <= pos.keys():
             raise ValueError(f"facet {tuple(sorted(labels))} not contained in the universe")
         # a facet of k vertices brings 2^k faces; refuse before listing them
-        if 1 << len(labels) > MAX_FACES_DEFAULT:
-            raise TooLargeError(
-                f"facet of {len(labels)} vertices has {1 << len(labels)} faces, "
-                f"cap is {MAX_FACES_DEFAULT} (the face cap)"
-            )
+        k = len(labels)
+        check_cap("face", 1 << k, f"facet of {k} vertices has {1 << k} faces")
         top = sum(1 << pos[v] for v in labels)
         if top not in faces:
             faces.update(submasks(top))
-        if len(faces) > MAX_FACES_DEFAULT:
-            raise TooLargeError(
-                f"complex has over {MAX_FACES_DEFAULT} faces, cap is {MAX_FACES_DEFAULT} (the face cap)"
-            )
+        check_cap("face", len(faces), f"complex has {len(faces)} faces")
     return SimplicialComplex(universe=uni, faces=frozenset(faces))
 
 
@@ -205,17 +189,14 @@ def reduced_homology_dims(cx: SimplicialComplex, field: FieldChoice = QQ) -> dic
     The void complex yields an empty dict (all groups zero).  The empty
     face is a genuine chain group generator, so {emptyset} reports
     {-1: 1}.  A cone is acyclic, so it reports zeros without any rank.
-    Any other complex with more than MAX_RANK_FACES faces raises
-    TooLargeError before a rank is taken.
+    Any other complex with more faces than the rank cap (errors.CAPS)
+    raises TooLargeError before a rank is taken.
     """
     if cx.is_void:
         return {}
     if is_cone(cx) is not None:
         return {d: 0 for d in range(-1, cx.dim + 1)}
-    if len(cx.faces) > MAX_RANK_FACES:
-        raise TooLargeError(
-            f"homology of {len(cx.faces)} faces, cap is {MAX_RANK_FACES} (the rank cap)"
-        )
+    check_cap("rank", len(cx.faces), f"homology of {len(cx.faces)} faces")
     return _rank_homology_dims(cx, field)
 
 

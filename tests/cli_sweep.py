@@ -8,11 +8,16 @@ The runs go through edgedepth.cli.main in this process, on the edgedepth
 under ../src.  They use only the command line, so a copy of this file in
 another checkout's tests/ runs that checkout unchanged, and `cmp` of the
 two outputs says whether both give the same answers.  Per graph: analyze,
-dstab --trace, depth-seq --trace --max-power 3, and ass at powers 1..3
-under every --method, traced under --method formula.  The traces put each
-power's certificate (depth, witness, hint_hit, cells_scanned) and each
-cover-walk level's state count on stderr, so cmp compares those too.
-The default run takes about 40 s on a 2-core machine.
+dstab --trace, depth-seq --trace --max-power 3, ass at powers 1..3 under
+every --method, traced under --method formula, and two runs over a cap:
+analyze under --max-r 2, and ass --method formula at level r + 5, over the
+level cap (or outside the formula's class).  The traces put each power's
+certificate (depth, witness, hint_hit, cells_scanned) and each cover-walk
+level's state count on stderr, so cmp compares those too.  Two fixed
+graphs then meet a library cap each: the 17-vertex path under --max-r 17
+(dstab --method formula, the vertex cap) and one edge at ass --method
+bruteforce --power 1414 (1415^2 cells, the colon cap).  The default run
+takes 9 to 14 s on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from conftest import random_connected_graph, random_graph  # noqa: E402
 from edgedepth.cli import main  # noqa: E402
 
 GRAPH = "{graph}"  # stands for the graph file's path
+OVER_LEVEL = "{r + 5}"  # stands for the graph's vertex count plus 5
 COMMANDS = [
     ["analyze", GRAPH],
     ["--trace", "dstab", GRAPH],
@@ -41,13 +47,22 @@ COMMANDS = [
     + ["ass", GRAPH, "--power", str(n), "--method", method]
     for n in (1, 2, 3)
     for method in ("formula", "bruteforce", "both", "auto")
+] + [
+    ["--max-r", "2", "analyze", GRAPH],
+    ["ass", GRAPH, "--power", OVER_LEVEL, "--method", "formula"],
+]
+# (name, r, edge-list text, command) of the fixed runs over a library cap
+FIXED = [
+    ("p17", 17, "".join(f"{i} {i + 1}\n" for i in range(1, 17)),
+     ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
+    ("k2", 2, "1 2\n", ["ass", GRAPH, "--method", "bruteforce", "--power", "1414"]),
 ]
 
 
 def sweep_graphs(count: int, seed: int):
-    """(name, edge-list text) of count seeded graphs on 3 to 8 vertices,
-    alternately any graph without isolated vertices (often disconnected)
-    and a connected one."""
+    """(name, r, edge-list text) of count seeded graphs on 3 to 8
+    vertices, alternately any graph without isolated vertices (often
+    disconnected) and a connected one."""
     rng = random.Random(seed)
     for i in range(count):
         v = rng.randint(3, 8)
@@ -55,7 +70,7 @@ def sweep_graphs(count: int, seed: int):
             g = random_connected_graph(rng, v, max_extra=rng.randint(0, 4))
         else:
             g = random_graph(rng, v, extra=rng.randint(0, 4))
-        yield f"g{i:03d}", f"r={g.r}\n" + "".join(f"{a} {b}\n" for a, b in g.edges)
+        yield f"g{i:03d}", g.r, f"r={g.r}\n" + "".join(f"{a} {b}\n" for a, b in g.edges)
 
 
 def run(argv: list[str]) -> tuple[object, str, str]:
@@ -73,20 +88,25 @@ def main_sweep(argv=None) -> int:
     parser.add_argument("--graphs", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1515)
     args = parser.parse_args(argv)
+    runs = [
+        (name, r, text, command)
+        for name, r, text in sweep_graphs(args.graphs, args.seed)
+        for command in COMMANDS
+    ] + FIXED
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in sweep_graphs(args.graphs, args.seed):
+        for name, r, text, command in runs:
             path = str(Path(tmp) / f"{name}.txt")
             Path(path).write_text(text)
-            for command in COMMANDS:
-                cli_argv = [path if a == GRAPH else a for a in command]
-                code, out, err = run(cli_argv)
-                record = {
-                    "argv": [name if a == path else a for a in cli_argv],
-                    "exit": code,
-                    "stdout": out.replace(path, name),
-                    "stderr": err.replace(path, name),
-                }
-                print(json.dumps(record, sort_keys=True), flush=True)
+            given = {GRAPH: path, OVER_LEVEL: str(r + 5)}
+            cli_argv = [given.get(a, a) for a in command]
+            code, out, err = run(cli_argv)
+            record = {
+                "argv": [name if a == path else a for a in cli_argv],
+                "exit": code,
+                "stdout": out.replace(path, name),
+                "stderr": err.replace(path, name),
+            }
+            print(json.dumps(record, sort_keys=True), flush=True)
     return 0
 
 

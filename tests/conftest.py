@@ -5,6 +5,7 @@ import itertools
 import random
 from typing import Iterable, Sequence
 
+from edgedepth.assoc import CoverGroup, _decode
 from edgedepth.graphs import (
     Graph,
     build_graph,
@@ -170,6 +171,21 @@ def colon(ideal: MonomialIdeal, m: Sequence[int]) -> MonomialIdeal:
     return minimalize(ideal.r, quotients)
 
 
+def monomial_str(m: Monomial) -> str:
+    parts = []
+    for i, e in enumerate(m, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def cover_ds(grp: CoverGroup) -> list[Monomial]:
+    """Every d of a cover-walk group, in lexicographic order."""
+    return [_decode(code, grp.width, grp.r) for code in sorted(grp.codes)]
+
+
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -240,6 +256,11 @@ def bipartite_power_complex(g: Graph, alpha: Sequence[int], n: int) -> Simplicia
 
 def void_complex(universe: Iterable[int] = ()) -> SimplicialComplex:
     return SimplicialComplex(universe=tuple(sorted(set(universe))), faces=frozenset())
+
+
+def is_irrelevant(cx: SimplicialComplex) -> bool:
+    """cx is {emptyset}."""
+    return cx.faces == {0}
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     colon,
     complete_edges,
+    cover_ds,
     cycle_edges,
     maximal_ideal,
     networkx_cycles,
@@ -16,13 +17,13 @@ from conftest import (
 )
 from edgedepth import assoc
 from edgedepth.assoc import (
-    MAX_LEVEL_MARGIN,
     ass_formula,
     cover_states,
     full_cover_monomial,
     spanning_unicyclic_monomial,
 )
 from edgedepth.errors import (
+    CAPS,
     LevelBelowStartError,
     NotUnicyclicNonbipartiteError,
     TooLargeError,
@@ -50,11 +51,11 @@ def test_cover_states_triangle_levels():
     c3 = build_graph(cycle_edges(3))
     (level2,) = cover_states(c3, 2)
     assert (level2.r_set, level2.b_set) == ((1, 2, 3), ())
-    assert level2.ds() == [(1, 1, 1)] and level2.least_d() == (1, 1, 1)
+    assert cover_ds(level2) == [(1, 1, 1)] and level2.least_d() == (1, 1, 1)
     # one step multiplies d by an edge, so degree 5 split over three
     # choices, all in the one group R = {1, 2, 3}
     (level3,) = cover_states(c3, 3)
-    assert level3.ds() == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    assert cover_ds(level3) == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
     assert level3.least_d() == (1, 2, 2)
 
 
@@ -115,10 +116,12 @@ def _reference_graphs():
 def test_cover_states_match_reference_walk():
     # every (level, R, B, d) state, flattened out of the groups in order
     for g in _reference_graphs():
-        top = g.r + MAX_LEVEL_MARGIN
+        top = g.r + CAPS["level"]
         for level, want in _reference_walk(g, top).items():
             got = [
-                (level, grp.r_set, grp.b_set, d) for grp in cover_states(g, level) for d in grp.ds()
+                (level, grp.r_set, grp.b_set, d)
+                for grp in cover_states(g, level)
+                for d in cover_ds(grp)
             ]
             assert got == want, (g.edges, level)
     with pytest.raises(TooLargeError):
@@ -154,7 +157,7 @@ def test_cover_state_degrees():
             {(grp.r_set, grp.b_set) for grp in groups}
         )
         for grp in groups:
-            ds = grp.ds()
+            ds = cover_ds(grp)
             assert all(sum(d) == 2 * n - 1 for d in ds)
             assert ds == sorted(set(ds)) and grp.least_d() == ds[0]
             assert len(ds) == len(grp.codes)

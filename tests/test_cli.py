@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import cycle_edges, path_edges
 import edgedepth
-from edgedepth import assoc, depth, graphs, stability
+from edgedepth import assoc, depth, errors, graphs, stability
 from edgedepth.cli import _load_graph, build_parser, main
 from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
 from edgedepth.errors import TooLargeError
@@ -295,33 +296,52 @@ _R17 = minimalize(17, [(1,) * 17])
 _P17 = graphs.build_graph(path_edges(17))
 _C3 = graphs.build_graph(cycle_edges(3))
 _S17 = SimplicialComplex(tuple(range(1, 18)), frozenset(range((1 << 17) - 1)))
+_C8 = graphs.build_graph(cycle_edges(8))
+
+
+def _walk_c8_under_a_small_state_cap(gf):
+    # P16 at n = 6 meets the real cap only after seconds and 150 MB; a
+    # small cap takes C8 through the same refusal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(errors.CAPS, "state", 1 << 12)
+        stability.dstab_oracle(_C8)
+
+
+_CAP_CASES = [
+    (lambda gf: _load_graph(gf("c6.txt", C6_TEXT), 4), "cap is 4 (--max-r)"),
+    (lambda gf: depth_power(_P17, 1), "cap is 16 (the vertex cap)"),
+    (lambda gf: depth_bruteforce(_R17), "cap is 16 (the vertex cap)"),
+    (lambda gf: takayama_complex(_R17, (0,) * 17), "cap is 16 (the vertex cap)"),
+    (lambda gf: betti_depth_crosscheck(_R17), "cap is 16 (the vertex cap)"),
+    (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
+    (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
+    (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
+    (lambda gf: graphs.cycle_profile(_P17), "cap is 16 (the vertex cap)"),
+    (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
+    (
+        lambda gf: assoc.cover_states(_C3, 8),
+        "cover walk level 8 is r + 5, cap is 4 (the level cap)",
+    ),
+    (lambda gf: from_facets(range(1, 22), [range(1, 22)]), "(the face cap)"),
+    # the boundary of the 17-vertex simplex: 2^17 - 1 faces, not a cone
+    (lambda gf: reduced_homology_dims(_S17), "cap is 65536 (the rank cap)"),
+    (_walk_c8_under_a_small_state_cap, "cap is 4096 (the state cap)"),
+]
 
 
 @pytest.mark.parametrize(
     "trigger, name",
-    [
-        (lambda gf: _load_graph(gf("c6.txt", C6_TEXT), 4), "cap is 4 (--max-r)"),
-        (lambda gf: depth_power(_P17, 1), "cap is 16 (the vertex cap)"),
-        (lambda gf: depth_bruteforce(_R17), "cap is 16 (the vertex cap)"),
-        (lambda gf: takayama_complex(_R17, (0,) * 17), "cap is 16 (the vertex cap)"),
-        (lambda gf: betti_depth_crosscheck(_R17), "cap is 16 (the vertex cap)"),
-        (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
-        (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
-        (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
-        (lambda gf: graphs.cycle_profile(_P17), "cap is 16 (the vertex cap)"),
-        (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
-        (lambda gf: assoc.cover_states(_C3, 8), "cap is r + 4 (the level cap)"),
-        (lambda gf: from_facets(range(1, 22), [range(1, 22)]), "(the face cap)"),
-        # the boundary of the 17-vertex simplex: 2^17 - 1 faces, not a cone
-        (lambda gf: reduced_homology_dims(_S17), "cap is 65536 (the rank cap)"),
-    ],
+    _CAP_CASES,
     ids=[
         "load-graph", "depth-power-r", "depth-bruteforce-r", "takayama-r", "betti-r",
         "depth-box", "betti-box", "colon-box", "cycles", "independent-sets", "walk-level",
-        "faces", "rank",
+        "faces", "rank", "state",
     ],
 )
 def test_each_cap_names_itself(graph_file, trigger, name):
+    # the cases refuse through every cap of the library's table
+    named = re.findall(r"\(the (\w+) cap\)", " ".join(text for _, text in _CAP_CASES))
+    assert set(named) == set(errors.CAPS)
     with pytest.raises(TooLargeError) as info:
         trigger(graph_file)
     assert name in str(info.value)
@@ -341,9 +361,8 @@ def test_missed_hint_over_box_cap_is_walked(graph_file, capsys, monkeypatch):
 
 
 def test_state_cap_exits_3(graph_file, capsys, monkeypatch):
-    # P16 at n = 6 meets the real cap only after seconds and 150 MB; a
-    # small cap takes C8 through the same refusal
-    monkeypatch.setattr(depth, "MAX_STATE_BYTES", 1 << 12)
+    # as in test_each_cap_names_itself, through the CLI's exit code
+    monkeypatch.setitem(errors.CAPS, "state", 1 << 12)
     code, _, err = run(capsys, ["dstab", "--method", "oracle", graph_file("c8.txt", C8_TEXT)])
     assert code == 3 and "cap is 4096 (the state cap)" in err
 
@@ -369,6 +388,17 @@ def test_dstab_trace_prints_each_power(graph_file, capsys):
     )
 
 
+def test_trace_is_silent_on_untraced_routes(graph_file, capsys):
+    # --trace reaches the dstab oracle, depth-seq and the ass cover walk only
+    path = graph_file("c7.txt", C7_TEXT)
+    for argv in (
+        ["dstab", path, "--method", "formula"],
+        ["ass", path, "--power", "2", "--method", "bruteforce"],
+    ):
+        code, out, err = run(capsys, ["--trace", *argv])
+        assert code == 0 and out and err == ""
+
+
 def test_depth_seq_trace_prints_the_dstab_line(graph_file, capsys):
     # both commands read one certificate stream, witness cells included
     for text, depths in ((C3C4_TEXT, [2, 1]), (C7_TEXT, [2, 2, 2, 0])):
@@ -383,7 +413,8 @@ def test_depth_seq_trace_prints_the_dstab_line(graph_file, capsys):
         code, out, dstab_err = run(capsys, ["--trace", "--format", "json", "dstab", path])
         assert code == 0 and json.loads(out)["oracle"] == len(depths)
         assert dstab_err == seq_err
-    assert "dstab and depth-seq" in build_parser().format_help()
+    help_text = " ".join(build_parser().format_help().split())
+    assert "per power for the dstab oracle and depth-seq" in help_text
 
 
 def test_depth_seq_reaches_p8(graph_file, capsys):

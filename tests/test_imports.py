@@ -1,14 +1,14 @@
 """Source hygiene: every imported name in src/ and tests/ is used, no
-module in src/ takes an underscore name from another, every size cap
-names itself when it refuses, every memo in src/ is bounded, and every
-parameter in src/ is read, every leaf error class is raised; only
-graphs.py searches for cycles, and only graphs.check_vertex_cap refuses
-work over the vertex cap."""
+module in src/ takes an underscore name from another, every library size
+cap is refused by errors.check_cap alone, every memo in src/ is bounded,
+every parameter in src/ is read, and every leaf error class is raised;
+only graphs.py searches for cycles."""
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
+
+from edgedepth.errors import CAPS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,93 +113,75 @@ def test_no_private_imports_in_src():
     assert bad == []
 
 
-# "..., cap is X (name)": the user's --max-r, or one of the library's caps
-_CAP_MESSAGE = re.compile(r".+, cap is [^,()]+ \((--max-r|the [a-z]+ cap)\)")
-
-
-def _template(node: ast.expr) -> str | None:
-    """The text of a string or f-string literal, each replacement field as
-    {}; None for any other expression."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
-    return None
-
-
-def cap_messages(source: str) -> list[tuple[int, str | None]]:
-    """(line, message template) of every raise TooLargeError(...); the
-    template is None unless the one argument is a string literal."""
+def raisers(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, where) of every raise name(...) or raise name, where is the
+    dotted path of the defs around it ("<module>" at the top level)."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        call = node.exc if isinstance(node, ast.Raise) else None
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "TooLargeError":
-            message = _template(call.args[0]) if len(call.args) == 1 and not call.keywords else None
-            found.append((node.lineno, message))
+
+    def visit(node: ast.AST, where: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where += (node.name,)
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+            found.append((node.lineno, ".".join(where) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), ())
     return sorted(found)
 
 
-def test_cap_messages_detected():
+def test_raisers_detected():
     src = (
-        "raise TooLargeError(f'box of {n}, cap is {CAP} (the box cap)')\n"
-        "raise TooLargeError(too_many)\n"
-        "raise ValueError('not a cap')\n"
+        "def check(r):\n    if r > CAPS['vertex']:\n        raise TooLargeError(f'r={r}')\n"
+        "class A:\n    def f(self):\n        raise errors.TooLargeError('box')\n"
+        "raise TooLargeError\nraise ValueError('not a cap')\n"
     )
-    assert cap_messages(src) == [(1, "box of {}, cap is {} (the box cap)"), (2, None)]
+    assert raisers(src, "TooLargeError") == [(3, "check"), (6, "A.f"), (7, "<module>")]
 
 
-def test_cap_messages_name_their_cap():
-    bad, count = [], 0
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        where = path.relative_to(ROOT)
-        if path.name != "cli.py" and "(--max-r)" in source:
-            bad.append(f"{where}: names (--max-r), which only the CLI checks")
-        for line, message in cap_messages(source):
-            count += 1
-            if message is None or not _CAP_MESSAGE.fullmatch(message):
-                bad.append(f"{where} line {line}: {message!r}")
-    assert bad == [] and count >= 10
+def cap_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, cap) of every check_cap(...) or mod.check_cap(...) call; cap
+    is the first argument when it is a string literal, else None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "check_cap" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            first = node.args[0] if node.args else None
+            literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+            found.append((node.lineno, first.value if literal else None))
+    return sorted(found)
 
 
-def vertex_cap_raisers(source: str) -> list[tuple[int, str]]:
-    """(line, where) of every raise TooLargeError(...) whose message names
-    the vertex cap; where is the top-level def or class around it
-    ("<module>" at the top level)."""
-    tree = ast.parse(source)
-    spans = [
-        (node.lineno, node.end_lineno, node.name)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    return [
-        (line, next((name for lo, hi, name in spans if lo <= line <= hi), "<module>"))
-        for line, message in cap_messages(source)
-        if message and "(the vertex cap)" in message
-    ]
-
-
-def test_vertex_cap_raisers_detected():
+def test_cap_calls_detected():
     src = (
-        "def check(r, what):\n"
-        "    if r > CAP:\n"
-        "        raise TooLargeError(f'{what} of r={r}, cap is {CAP} (the vertex cap)')\n"
-        "def scan(r):\n"
-        "    raise TooLargeError(f'box of {r}, cap is {CAP} (the box cap)')\n"
-        "raise TooLargeError(f'scan of r={r}, cap is {CAP} (the vertex cap)')\n"
+        "check_cap('box', n, f'box has {n} cells')\n"
+        "errors.check_cap(name, n, 'cells')\n"
+        "check_cap(amount=n)\ncheck_vertex(r)\n"
     )
-    assert vertex_cap_raisers(src) == [(3, "check"), (6, "<module>")]
+    assert cap_calls(src) == [(1, "box"), (2, None), (3, None)]
 
 
-def test_vertex_cap_is_checked_only_in_graphs():
-    # graphs.check_vertex_cap alone decides what the vertex cap is and how
-    # a refusal reads; every other module calls it
-    found = [
-        (path.relative_to(ROOT / "src").as_posix(), where)
+def test_every_cap_is_refused_through_check_cap():
+    # errors.check_cap alone decides how a library cap's refusal reads, and
+    # cli._load_graph refuses the user's --max-r; every other site calls
+    # check_cap with a key of errors.CAPS, and every key has a caller
+    sources = {
+        path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for _, where in vertex_cap_raisers(path.read_text(encoding="utf-8"))
+    }
+    found = [
+        (where, name)
+        for where, source in sources.items()
+        for _, name in raisers(source, "TooLargeError")
     ]
-    assert found == [("edgedepth/graphs.py", "check_vertex_cap")]
+    assert found == [("edgedepth/cli.py", "_load_graph"), ("edgedepth/errors.py", "check_cap")]
+    named = [(where, cap) for where, source in sources.items() for _, cap in cap_calls(source)]
+    assert [call for call in named if call[1] not in CAPS] == []
+    assert {cap for _, cap in named} == set(CAPS)
 
 
 def _decorator_name(node: ast.expr) -> str | None:

@@ -17,6 +17,7 @@ from conftest import (
     intersect,
     localize,
     maximal_ideal,
+    monomial_str,
     power_membership_exhaustive,
     random_graph,
     symbolic_member,
@@ -34,7 +35,6 @@ from edgedepth.monomials import (
     gens_array,
     membership,
     minimalize,
-    monomial_str,
     multiply,
     power,
 )

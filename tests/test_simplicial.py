@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import euler_characteristic_reduced, join, void_complex
+from conftest import euler_characteristic_reduced, is_irrelevant, join, void_complex
 from edgedepth import simplicial
+from edgedepth.errors import CAPS, TooLargeError
 from edgedepth.simplicial import (
     QQ,
     FieldChoice,
@@ -39,11 +40,21 @@ def test_facet_pruning_and_canonical_order():
         assert from_facets(range(n, 0, -1), again) == cx
 
 
+def test_face_cap_counts_the_union(monkeypatch):
+    # each facet of the 4-cycle brings 4 faces, under the cap; their
+    # union reaches 9 with the fourth edge, and the refusal says so
+    monkeypatch.setitem(CAPS, "face", 8)
+    assert len(from_facets([1, 2, 3, 4], [[1, 2], [3, 4], [1, 3]]).faces) == 8
+    with pytest.raises(TooLargeError) as info:
+        from_facets([1, 2, 3, 4], [[1, 2], [3, 4], [1, 3], [2, 4]])
+    assert str(info.value) == "complex has 9 faces, cap is 8 (the face cap)"
+
+
 def test_void_vs_irrelevant():
     void = void_complex([1, 2])
     irr = from_facets([1, 2], [[]])
-    assert void.is_void and not void.is_irrelevant
-    assert irr.is_irrelevant and not irr.is_void
+    assert void.is_void and not is_irrelevant(void)
+    assert is_irrelevant(irr) and not irr.is_void
     assert reduced_homology_dims(void) == {}
     assert reduced_homology_dims(irr) == {-1: 1}
     assert irr.dim == -1
@@ -71,12 +82,14 @@ def test_sphere_boundary():
     cx = from_facets([1, 2, 3, 4], [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
     assert reduced_homology_dims(cx) == {-1: 0, 0: 0, 1: 0, 2: 1}
     # the boundary of the m-vertex simplex is an (m - 2)-sphere, and no
-    # cone; at m = 16 its 2^16 - 1 faces are the most the rank cap lets through
-    for m in (13, 16):
+    # cone; at m = 16, the vertex cap, its 2^16 - 1 faces are the most any
+    # non-cone on at most that many vertices has, and the rank cap lets
+    # them through
+    for m in (13, CAPS["vertex"]):
         cx = from_facets(range(1, m + 1), [
             [v for v in range(1, m + 1) if v != skip] for skip in range(1, m + 1)
         ])
-        assert is_cone(cx) is None and len(cx.faces) <= simplicial.MAX_RANK_FACES
+        assert is_cone(cx) is None and len(cx.faces) <= CAPS["rank"]
         assert reduced_homology_dims(cx) == {d: int(d == m - 2) for d in range(-1, m - 1)}
 
 
@@ -166,7 +179,7 @@ def test_simplex_homology_needs_no_rank(monkeypatch):
     # vertex 1 lies in both maximal facets: a cone of 2^17 + 2 faces, over
     # the rank cap, is acyclic all the same
     cx = from_facets(range(1, 19), [range(1, 18), [1, 18], [2, 3]])
-    assert len(cx.faces) > simplicial.MAX_RANK_FACES
+    assert len(cx.faces) > CAPS["rank"]
     assert not any(reduced_homology_dims(cx).values())
 
 
