@@ -6,9 +6,12 @@ only graphs.py searches for cycles."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-from edgedepth.errors import CAPS
+import pytest
+
+from edgedepth.errors import CAPS, TooLargeError, check_cap
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,14 +168,22 @@ def test_cap_calls_detected():
     assert cap_calls(src) == [(1, "box"), (2, None), (3, None)]
 
 
-def test_every_cap_is_refused_through_check_cap():
-    # errors.check_cap alone decides how a library cap's refusal reads, and
-    # cli._load_graph refuses the user's --max-r; every other site calls
-    # check_cap with a key of errors.CAPS, and every key has a caller
-    sources = {
+def _src_sources() -> dict[str, str]:
+    return {
         path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src").rglob("*.py"))
     }
+
+
+# "..., cap is X (name)": the user's --max-r, or one of the library's caps
+_CAP_MESSAGE = re.compile(r".+, cap is [^,()]+ \((--max-r|the [a-z]+ cap)\)")
+
+
+def test_cap_messages_name_their_cap():
+    # errors.check_cap alone decides how a library cap's refusal reads, and
+    # cli._load_graph refuses the user's --max-r; every other site calls
+    # check_cap with a key of errors.CAPS, and every key has a caller
+    sources = _src_sources()
     found = [
         (where, name)
         for where, source in sources.items()
@@ -182,6 +193,33 @@ def test_every_cap_is_refused_through_check_cap():
     named = [(where, cap) for where, source in sources.items() for _, cap in cap_calls(source)]
     assert [call for call in named if call[1] not in CAPS] == []
     assert {cap for _, cap in named} == set(CAPS)
+    assert [where for where, source in sources.items() if "(--max-r)" in source] == [
+        "edgedepth/cli.py"
+    ]
+    for name, cap in CAPS.items():
+        with pytest.raises(TooLargeError) as exc:
+            check_cap(name, cap + 1, f"{name} work of {cap + 1}")
+        assert _CAP_MESSAGE.fullmatch(str(exc.value))
+        assert str(exc.value).endswith(f", cap is {cap} (the {name} cap)")
+        check_cap(name, cap, "at the cap")  # the cap itself is allowed
+
+
+def test_vertex_cap_is_checked_only_in_graphs():
+    # the vertex cap bounds the 2^r arrays built over a graph's vertices:
+    # only graphs.py and depth.py, which build them, check it, and no
+    # module but errors.py reads a cap's value
+    sources = _src_sources()
+    vertex = {
+        where for where, source in sources.items() for _, cap in cap_calls(source) if cap == "vertex"
+    }
+    assert vertex == {"edgedepth/graphs.py", "edgedepth/depth.py"}
+    readers = [
+        where
+        for where, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "CAPS"
+    ]
+    assert set(readers) == {"edgedepth/errors.py"}
 
 
 def _decorator_name(node: ast.expr) -> str | None:
