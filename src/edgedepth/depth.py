@@ -31,8 +31,11 @@ no vertex of G_a and no violation set {i not in G_a : g_i > a_i} of a
 generator g, so the scan sets the bits of those sets, closes them upward
 and inverts (_violation_faces).  For bipartite g it sets the chosen facets,
 cut to the nonnegative support, and closes them downward (_facet_faces).
-Closing over a vertex v < 6 takes one shift and mask per word; over a
-higher vertex it ORs blocks of whole words (_close).
+Both scatter their bits through one helper (_pack_sets) a block at a time,
+so its int64 index stays within a 32nd of the chunk budget's entries and a
+chunk's arrays take about _CHUNK_BUDGET bytes at their peak.  Closing over
+a vertex v < 6 takes one shift and mask per word; over a higher vertex it
+ORs blocks of whole words (_close).
 
 A cell's index is |G_a| + 1 plus the least degree of nonzero reduced
 homology of D_a, so the pair (|G_a|, complex) is a key that fixes it.  One
@@ -175,7 +178,9 @@ def takayama_complex(ideal: MonomialIdeal, alpha: Sequence[int]) -> SimplicialCo
 
 
 # Bound on a chunk's cell count, or a batch's key count, times the array
-# entries each cell or key takes.
+# entries each cell or key takes, so a chunk's largest arrays take about
+# _CHUNK_BUDGET bytes.  _pack_sets's scatter index holds at most a 32nd of
+# these entries (1 MiB of int64), whatever the chunk's size.
 _CHUNK_BUDGET = 1 << 22
 _NO_VALUE = 1 << 32  # above every cohomological index
 _WORD = np.dtype("<u8")  # a row's words as bytes are its packbits bitmap
@@ -185,10 +190,15 @@ _LOW = [np.uint64(sum(1 << p for p in range(64) if not p >> v & 1)) for v in ran
 
 def _pack_sets(rows: np.ndarray, sets: np.ndarray, k: int, r: int) -> np.ndarray:
     """(k, W) face words, W = max(1, 2^r / 64), with set sets[i] in row
-    rows[i] (broadcast): vertex set s is bit s % 64 of word s // 64."""
+    rows[i] (broadcast): vertex set s is bit s % 64 of word s // 64.  The
+    bits are set a block of leading indices i at a time, each block's
+    flat int64 index at most _CHUNK_BUDGET / 32 entries (or one i)."""
     width = max(64, 1 << r)
     bits = np.zeros((k, width), dtype=bool)
-    bits.reshape(-1)[rows * width + sets] = True
+    flat = bits.reshape(-1)
+    step = max(1, (_CHUNK_BUDGET >> 5) // math.prod(sets.shape[1:]))
+    for i in range(0, len(sets), step):
+        flat[rows[i:i + step] * width + sets[i:i + step]] = True
     return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
 
 

@@ -7,8 +7,9 @@ rejected up front).
 
 Cycles are found by one ordered search per length, cycles_of_length, which
 holds no listing.  Only this module reads it: cycle_profile keeps the
-facts the formulas need, and spanning_unicyclic_subgraph makes the cut
-that the nonbipartite witness is taken on.
+facts the formulas need, searching each block (biconnected component)
+alone, and spanning_unicyclic_subgraph makes the cut that the nonbipartite
+witness is taken on.
 """
 from __future__ import annotations
 
@@ -223,22 +224,64 @@ class CycleProfile:
     unique_cycle: Optional[tuple[int, ...]]  # the one cycle of a unicyclic graph
 
 
+def blocks(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex sets of g's blocks (biconnected components), each sorted,
+    by one depth-first search with low points (Hopcroft and Tarjan).  Every
+    cycle of g lies inside one block, and a block is an induced subgraph."""
+    depth: dict[int, int] = {}
+    low: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []  # tree and back edges not yet in a block
+    out: list[tuple[int, ...]] = []
+
+    def visit(v: int, parent: int) -> None:
+        depth[v] = low[v] = len(depth)
+        for w in g.neighbors(v):
+            if w not in depth:
+                edges.append((v, w))
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] >= depth[v]:  # v separates w's subtree: a block ends
+                    block, edge = set(), None
+                    while edge != (v, w):
+                        edge = edges.pop()
+                        block.update(edge)
+                    out.append(tuple(sorted(block)))
+            elif w != parent and depth[w] < depth[v]:
+                edges.append((v, w))
+                low[v] = min(low[v], depth[w])
+
+    for v in g.vertices:
+        if v not in depth:
+            visit(v, 0)
+    return out
+
+
+def _longest_cycle(g: Graph, top: int) -> Optional[tuple[int, ...]]:
+    """g's first cycle of the greatest length top, top - 2, ..., 3 that has one."""
+    return next((c for n in range(top, 2, -2) for c in cycles_of_length(g, n)), None)
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def cycle_profile(g: Graph) -> CycleProfile:
     """What the formulas read off g's cycles; cached.  The kind comes from
-    the cycle rank e - r + p, each parity's longest cycle from the first
-    length r, r - 1, ... of that parity with one (no odd one if bipartite)."""
+    the cycle rank e - r + p.  Each parity's longest cycle is searched on
+    each block alone, since every cycle lies inside one: the first length
+    r_B, r_B - 2, ... of that parity with a cycle in block B, odd lengths
+    only in a nonbipartite block."""
     check_cap("vertex", g.r, f"cycles of r={g.r}")
-    dec = decompose(g)
-    rank = g.num_edges - g.r + dec.p
+    rank = g.num_edges - g.r + decompose(g).p
     if rank == 0:
         return CycleProfile("tree", None, None, None)
-
-    def longest(top: int) -> Optional[tuple[int, ...]]:
-        return next((c for n in range(top, 2, -2) for c in cycles_of_length(g, n)), None)
-
-    even = longest(g.r - g.r % 2)
-    odd = longest(g.r - 1 + g.r % 2) if dec.t else None
+    longest: dict[int, tuple[int, ...]] = {}  # per parity, on g's labels
+    for block in blocks(g):
+        if len(block) < 3:  # a bridge
+            continue
+        sub, labels = induced_subgraph(g, block)
+        for parity in (0, 1) if decompose(sub).t else (0,):
+            cycle = _longest_cycle(sub, sub.r - (sub.r + parity) % 2)
+            if cycle and len(cycle) > len(longest.get(parity, ())):
+                longest[parity] = tuple(labels[v - 1] for v in cycle)
+    even, odd = longest.get(0), longest.get(1)
     return CycleProfile(
         kind="unicyclic" if rank == 1 else "general",
         max_even_len=len(even) if even else None,

@@ -25,6 +25,7 @@ from edgedepth.errors import (
 )
 from edgedepth.graphs import (
     CycleProfile,
+    blocks,
     build_graph,
     cycle_profile,
     cycles_of_length,
@@ -123,17 +124,23 @@ def test_mu_vector():
     assert mu_vector(build_graph(star_edges(3))) == (0, 0, 0, 0)
 
 
-def test_cycles_of_length_match_networkx():
-    # every atlas graph on at most 7 vertices with no isolated vertex, then
-    # P5, C6 and K4: each length's cycles are networkx's, every one starts
-    # at its least vertex towards its smaller neighbour, in lexicographic order
-    nx = pytest.importorskip("networkx")
+def atlas_graphs(nx):
+    """Every atlas graph on at most 7 vertices with no isolated vertex."""
     graphs = [
         build_graph([(u + 1, v + 1) for u, v in a.edges()], r=a.number_of_nodes())
         for a in nx.graph_atlas_g()
         if a.number_of_edges() and min(d for _, d in a.degree()) > 0
     ]
     assert len(graphs) == 1043
+    return graphs
+
+
+def test_cycles_of_length_match_networkx():
+    # every atlas graph on at most 7 vertices with no isolated vertex, then
+    # P5, C6 and K4: each length's cycles are networkx's, every one starts
+    # at its least vertex towards its smaller neighbour, in lexicographic order
+    nx = pytest.importorskip("networkx")
+    graphs = atlas_graphs(nx)
     graphs += [build_graph(path_edges(5)), build_graph(cycle_edges(6)), build_graph(complete_edges(4))]
     for g in graphs:
         want = networkx_cycles(nx, g)
@@ -163,6 +170,33 @@ def test_cycle_profile_holds_no_listing():
         tracemalloc.stop()
     assert prof == CycleProfile("general", 10, 9, None)
     assert held < 1 << 20
+
+
+def test_cycle_profile_matches_every_cycle():
+    # the blocks are networkx's, and the per-block search gives the
+    # profile read off networkx's full cycle listing: the kind from the
+    # cycle rank, each parity's longest length, and the one cycle of a
+    # unicyclic graph.  K6,6 with a triangle hung on vertex 1 (r = 14) has
+    # a dense bipartite block beside a triangle block.
+    nx = pytest.importorskip("networkx")
+    k66 = build_graph([(a, b) for a in range(1, 7) for b in range(7, 13)]
+                      + [(1, 13), (1, 14), (13, 14)])
+    graphs = atlas_graphs(nx)
+    for g in graphs + [k66]:
+        want = sorted(tuple(sorted(b)) for b in nx.biconnected_components(nx.Graph(g.edges)))
+        assert sorted(blocks(g)) == want, g.edges
+    for g in graphs:
+        cycles = networkx_cycles(nx, g)
+        rank = g.num_edges - g.r + decompose(g).p
+        lengths = {p: [len(c) for c in cycles if len(c) % 2 == p] for p in (0, 1)}
+        want = CycleProfile(
+            ["tree", "unicyclic", "general"][min(rank, 2)],
+            max(lengths[0], default=None),
+            max(lengths[1], default=None),
+            cycles[0] if rank == 1 else None,
+        )
+        assert cycle_profile(g) == want, g.edges
+    assert cycle_profile(k66) == CycleProfile("general", 12, 3, None)
 
 
 def test_cycle_profile():
