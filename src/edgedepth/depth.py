@@ -57,10 +57,10 @@ errors.CAPS, checked by errors.check_cap.  Without a hit, the witness
 is the cell of least (index, position in the box), as over the whole
 box, found in one of two ways:
 
-- The generator route scans the box in order, in chunks of cells, up to
-  the first chunk that reaches the floor.  Each chunk's cells are grouped
-  by (|G_a|, complex) into keys, each key standing at its first cell, and
-  evaluated.  A box over the box cap's cell count is refused.
+- The generator route scans the box, from monomials.lcm_box, in order and
+  in chunks of cells up to the first chunk that reaches the floor.  Each
+  chunk's cells are grouped by (|G_a|, complex) into keys, each key at its
+  first cell, and evaluated.  lcm_box refuses a box over the box cap.
 - The facet route walks the box one coordinate at a time (_walk).  Cells
   whose partial keys agree are merged into one state at each step: the
   negative support so far and each facet's weight outside it, capped at n.
@@ -124,6 +124,7 @@ from .monomials import (
     MonomialIdeal,
     edge_ideal,
     gens_array,
+    lcm_box,
     membership,
     power,
 )
@@ -363,23 +364,17 @@ def _scan(
 
 
 def _box_search(
-    sizes: Sequence[int], width: int, faces_of, field: FieldChoice, floor: int
+    ideal: MonomialIdeal, width: int, faces_of, field: FieldChoice, floor: int
 ) -> tuple[tuple[int, tuple[int, ...], int], int]:
-    """The generator route's search: the box in chunks of cells, in order,
-    up to the first chunk that reaches the floor; width is the per-cell
-    entry count of the largest array a chunk takes.  Returns the best
-    (value, cell, homology dim) and the cells scanned."""
-    n_cells = math.prod(sizes)
-    check_cap("box", n_cells, f"depth box has {n_cells} cells")
-    radix = np.array(sizes, dtype=np.int64)
-    weights = np.cumprod(radix[::-1])[::-1] // radix
-    chunk = max(1, _CHUNK_BUDGET // width)
+    """The generator route's search: ideal's lcm box less one, in chunks of
+    cells, in order, up to the first chunk that reaches the floor; width is
+    the per-cell entry count of the largest array a chunk takes.  Returns
+    the best (value, cell, homology dim) and the cells scanned."""
     best, scanned = (_NO_VALUE, (), 0), 0
-    for off in range(0, n_cells, chunk):
-        cells = np.arange(off, min(off + chunk, n_cells), dtype=np.int64)
-        scanned += len(cells)
-        alpha = ((cells[:, None] // weights) % radix - 1).astype(np.int16)
-        found = _least_cell(alpha, faces_of, field, floor)
+    for rows in lcm_box(ideal, max(1, _CHUNK_BUDGET // width), "depth box"):
+        rows = (rows - 1).astype(np.int16)  # the int64 rows go before keying
+        scanned += len(rows)
+        found = _least_cell(rows, faces_of, field, floor)
         if found[0] < best[0]:  # an earlier chunk wins a tie
             best = found
         if best[0] <= floor:
@@ -498,7 +493,7 @@ def _ideal_scan(
     width = len(gens) + (2 << r)
     return _scan(
         sizes, hints, faces_of, field, floor,
-        lambda: _box_search(sizes, width, faces_of, field, floor),
+        lambda: _box_search(ideal, width, faces_of, field, floor),
     )
 
 
@@ -598,31 +593,29 @@ def betti_depth_crosscheck(ideal: MonomialIdeal, field: FieldChoice = QQ) -> int
     r = ideal.r
     check_cap("vertex", r, f"betti crosscheck of r={r}")
     lcm = gens_array(ideal).max(axis=0).astype(np.int64)
-    cells = math.prod(int(e) + 1 for e in lcm)
-    check_cap("box", cells, f"degree box has {cells} cells")
     strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
-    inside: list[bool] = []  # x^b in I, for b at each flat index of the box
-    for off in range(0, cells, COLON_CHUNK_CELLS):
-        idx = np.arange(off, min(off + COLON_CHUNK_CELLS, cells))
-        inside += membership(ideal, idx[:, None] // strides % (lcm + 1))[0].tolist()
     # x^(b - 1_S) sits at flat index shift[S] below b's
     shift = (((np.arange(1 << r)[:, None] >> np.arange(r)) & 1) @ strides).tolist()
+    inside: list[bool] = []  # x^b in I, for b at each flat index of the box
     max_i = -1
     universe = tuple(range(1, r + 1))
     memo: dict[SimplicialComplex, int] = {}
-    for flat, b in enumerate(itertools.product(*[range(e + 1) for e in lcm])):
-        support = sum(1 << i for i in range(r) if b[i] >= 1)
-        cx = SimplicialComplex(universe, frozenset(
-            s for s in submasks(support) if inside[flat - shift[s]]
-        ))
-        top = memo.get(cx)
-        if top is None:
-            dims = reduced_homology_dims(cx, field=field)
-            # -2: an acyclic complex contributes nothing
-            top = max((d for d, dim in dims.items() if dim), default=-2)
-            memo[cx] = top
-        if top > -2:
-            max_i = max(max_i, top + 1)
+    for rows in lcm_box(ideal, COLON_CHUNK_CELLS, "degree box"):
+        inside += membership(ideal, rows)[0].tolist()
+        # each b's complex reads only b and the cells below it
+        supports = ((rows >= 1) @ (1 << np.arange(r))).tolist()
+        for flat, support in enumerate(supports, len(inside) - len(rows)):
+            cx = SimplicialComplex(universe, frozenset(
+                s for s in submasks(support) if inside[flat - shift[s]]
+            ))
+            top = memo.get(cx)
+            if top is None:
+                dims = reduced_homology_dims(cx, field=field)
+                # -2: an acyclic complex contributes nothing
+                top = max((d for d, dim in dims.items() if dim), default=-2)
+                memo[cx] = top
+            if top > -2:
+                max_i = max(max_i, top + 1)
     if max_i < 0:
         raise InternalError("nonzero ideal must have a nonzero Betti number")
     return r - 1 - max_i

@@ -64,13 +64,12 @@ class InternalError(EdgeIdealError):
 # here before the work it bounds.
 CAPS = {
     "vertex": 16,  # vertices of a scan that builds 2^r arrays
-    "box": 5_000_000,  # cells of a generator-route depth box or a degree box
+    "box": 5_000_000,  # cells of every lcm box scanned: depth, degree and colon
     "state": 1 << 26,  # bytes of one depth walk layer's packed state keys
     "face": 1 << 20,  # faces of a complex listed from its facets
     # faces of a complex whose homology takes ranks: every non-cone on at
     # most 16 vertices passes
     "rank": 1 << 16,
-    "colon": 2_000_000,  # cells of the associated-primes colon box
     "level": 4,  # cover walk levels above r
 }
 

@@ -267,11 +267,11 @@ def cycle_profile(g: Graph) -> CycleProfile:
     the cycle rank e - r + p.  Each parity's longest cycle is searched on
     each block alone, since every cycle lies inside one: the first length
     r_B, r_B - 2, ... of that parity with a cycle in block B, odd lengths
-    only in a nonbipartite block."""
-    check_cap("vertex", g.r, f"cycles of r={g.r}")
+    only in a nonbipartite block; a forest skips the search and its cap."""
     rank = g.num_edges - g.r + decompose(g).p
     if rank == 0:
         return CycleProfile("tree", None, None, None)
+    check_cap("vertex", g.r, f"cycles of r={g.r}")
     longest: dict[int, tuple[int, ...]] = {}  # per parity, on g's labels
     for block in blocks(g):
         if len(block) < 3:  # a bridge

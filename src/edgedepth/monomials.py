@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,6 +116,19 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return multiply(power(ideal, n - 1), ideal)
 
 
+def lcm_box(ideal: MonomialIdeal, chunk: int, what: str) -> Iterator[np.ndarray]:
+    """The cells of every box scan: the rows 0 <= a <= lcm of the generators
+    in box order, chunk rows at a time as int64 arrays.  The call refuses a
+    box over the box cap, what naming it, before any row."""
+    lcm = gens_array(ideal).max(axis=0, initial=0).astype(np.int64)
+    cells = math.prod(int(e) + 1 for e in lcm)
+    check_cap("box", cells, f"{what} has {cells} cells")
+    return (
+        np.stack(np.unravel_index(np.arange(off, min(off + chunk, cells)), lcm + 1), axis=1)
+        for off in range(0, cells, chunk)
+    )
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _bitsets(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lcm, offsets, table): table[offsets[i] + v] is the bitset of the
@@ -178,14 +191,9 @@ def associated_primes_bruteforce(ideal: MonomialIdeal) -> tuple[tuple[int, ...],
         raise ValueError("unit ideal has no associated primes")
     r = ideal.r
     lcm = gens_array(ideal).max(axis=0).astype(np.int64)
-    cells = math.prod(int(e) + 1 for e in lcm)
-    check_cap("colon", cells, f"colon box has {cells} cells")
-    strides = np.cumprod(lcm[::-1] + 1)[::-1] // (lcm + 1)
     weights = 1 << np.arange(r, dtype=np.int64)
     codes: set[int] = set()
-    for off in range(0, cells, COLON_CHUNK_CELLS):
-        idx = np.arange(off, min(off + COLON_CHUNK_CELLS, cells), dtype=np.int64)
-        m = idx[:, None] // strides % (lcm + 1)
+    for m in lcm_box(ideal, COLON_CHUNK_CELLS, "colon box"):
         inside, s_mask = membership(ideal, m)
         s_mask, m = s_mask[~inside], m[~inside]
         ok = ~_divisors(ideal, np.where(s_mask, m, lcm))[2]

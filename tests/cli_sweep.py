@@ -13,13 +13,14 @@ every --method, traced under --method formula, and two runs over a cap:
 analyze under --max-r 2, and ass --method formula at level r + 5, over the
 level cap (or outside the formula's class).  The traces put each power's
 certificate (depth, witness, hint_hit, cells_scanned) and each cover-walk
-level's state count on stderr, so cmp compares those too.  Three fixed
-runs follow.  Two graphs meet a library cap each: the 17-vertex path under
---max-r 17 (dstab --method formula, the vertex cap) and one edge at ass
---method bruteforce --power 1414 (1415^2 cells, the colon cap).  The third
-is analyze under --max-r 14 on K6,6 with a triangle hung on one vertex,
-whose longest cycles are searched block by block.  The default run takes
-9 to 14 s on a 2-core x86-64 machine.
+level's state count on stderr, so cmp compares those too.  Four fixed
+runs follow, three of them dstab --method formula under --max-r 17 or ass
+--method bruteforce.  The 17-vertex path answers, since the tree formula
+needs no cycle search; the 17-cycle meets the vertex cap at its cycle
+search; one edge at --power 2237 (2238^2 cells) meets the box cap at the
+colon scan.  The fourth is analyze under --max-r 14 on K6,6 with a
+triangle hung on one vertex, whose longest cycles are searched block by
+block.  The default run takes 9 to 14 s on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -53,12 +54,14 @@ COMMANDS = [
     ["--max-r", "2", "analyze", GRAPH],
     ["ass", GRAPH, "--power", OVER_LEVEL, "--method", "formula"],
 ]
-# (name, r, edge-list text, command) of the fixed runs, the first two over
-# a library cap
+# (name, r, edge-list text, command) of the fixed runs, the second and
+# third over a library cap
 FIXED = [
     ("p17", 17, "".join(f"{i} {i + 1}\n" for i in range(1, 17)),
      ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
-    ("k2", 2, "1 2\n", ["ass", GRAPH, "--method", "bruteforce", "--power", "1414"]),
+    ("c17", 17, "".join(f"{i} {i % 17 + 1}\n" for i in range(1, 18)),
+     ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
+    ("k2", 2, "1 2\n", ["ass", GRAPH, "--method", "bruteforce", "--power", "2237"]),
     # K6,6 with a triangle hung on vertex 1: a dense bipartite block beside
     # an odd one, for the per-block cycle search
     ("k66+c3", 14, "".join(f"{a} {b}\n" for a in range(1, 7) for b in range(7, 13))

@@ -183,7 +183,7 @@ def test_ass_auto_falls_back_to_bruteforce(graph_file, capsys):
 
 
 def test_ass_at_power_500_falls_back_without_deep_recursion(graph_file, capsys):
-    # K2's colon box at n = 500 has 251,001 cells, under the colon cap; a
+    # K2's colon box at n = 500 has 251,001 cells, under the box cap; a
     # cold I^500 once recursed one call per power and died
     path = graph_file("k2.txt", "1 2\n")
     code, out, _ = run(capsys, ["--format", "json", "ass", path, "--power", "500"])
@@ -291,10 +291,11 @@ def test_exit_code_caps(graph_file, capsys):
     assert code == 3
 
 
-_BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over both box caps
+_BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over the box cap
 _R17 = minimalize(17, [(1,) * 17])
 _P17 = graphs.build_graph(path_edges(17))
 _C3 = graphs.build_graph(cycle_edges(3))
+_C17 = graphs.build_graph(cycle_edges(17))
 _S17 = SimplicialComplex(tuple(range(1, 18)), frozenset(range((1 << 17) - 1)))
 _C8 = graphs.build_graph(cycle_edges(8))
 
@@ -315,8 +316,8 @@ _CAP_CASES = [
     (lambda gf: betti_depth_crosscheck(_R17), "cap is 16 (the vertex cap)"),
     (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
     (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
-    (lambda gf: associated_primes_bruteforce(_BIG), "cap is 2000000 (the colon cap)"),
-    (lambda gf: graphs.cycle_profile(_P17), "cap is 16 (the vertex cap)"),
+    (lambda gf: associated_primes_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
+    (lambda gf: graphs.cycle_profile(_C17), "cap is 16 (the vertex cap)"),
     (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
     (
         lambda gf: assoc.cover_states(_C3, 8),

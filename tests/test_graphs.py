@@ -211,7 +211,7 @@ def test_cycle_profile():
 
 
 def test_cycle_cap():
-    g = build_graph(path_edges(17))
+    g = build_graph(cycle_edges(17))
     with pytest.raises(TooLargeError):
         cycle_profile(g)
 

@@ -193,6 +193,8 @@ def test_cap_messages_name_their_cap():
     named = [(where, cap) for where, source in sources.items() for _, cap in cap_calls(source)]
     assert [call for call in named if call[1] not in CAPS] == []
     assert {cap for _, cap in named} == set(CAPS)
+    # every lcm box is scanned through monomials.lcm_box, the one box check
+    assert [where for where, cap in named if cap == "box"] == ["edgedepth/monomials.py"]
     assert [where for where, source in sources.items() if "(--max-r)" in source] == [
         "edgedepth/cli.py"
     ]

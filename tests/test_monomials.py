@@ -23,8 +23,9 @@ from conftest import (
     symbolic_member,
     variable_ideal,
 )
-from edgedepth import monomials
+from edgedepth import errors, monomials
 from edgedepth.depth import _homology
+from edgedepth.errors import TooLargeError
 from edgedepth.graphs import CACHE_ENTRIES, build_graph, cycle_profile
 from edgedepth.monomials import (
     COLON_CHUNK_CELLS,
@@ -33,6 +34,7 @@ from edgedepth.monomials import (
     contains,
     edge_ideal,
     gens_array,
+    lcm_box,
     membership,
     minimalize,
     multiply,
@@ -219,6 +221,41 @@ def test_symbolic_equals_power_for_bipartite():
             pw = power(ideal, n)
             for m in itertools.product(range(n + 1), repeat=g.r):
                 assert contains(pw, m) == symbolic_member(g, n, m)
+
+
+@pytest.mark.parametrize(
+    "gens, chunk",
+    [
+        ([(2, 0, 1), (0, 3, 0)], 5),  # 24 cells: four full chunks, a part-full one
+        ([(2, 0, 1)], 4),  # a size-1 axis
+        ([(1, 2)], 6),  # one full chunk, the whole box
+        ([(0, 0)], 3),  # the unit ideal: a one-cell box
+    ],
+)
+def test_lcm_box_rows_in_box_order(gens, chunk):
+    ideal = minimalize(len(gens[0]), gens)
+    lcm = gens_array(ideal).max(axis=0)
+    chunks = list(lcm_box(ideal, chunk, "test box"))
+    assert all(len(rows) == chunk for rows in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+    rows = np.concatenate(chunks).tolist()
+    assert rows == [list(a) for a in itertools.product(*[range(e + 1) for e in lcm])]
+
+
+def test_lcm_box_refuses_before_any_row(monkeypatch):
+    # 3^2 cells over a cap of 8: the call itself refuses, naming the box cap
+    monkeypatch.setitem(errors.CAPS, "box", 8)
+    with pytest.raises(TooLargeError, match=r"^test box has 9 cells, cap is 8 \(the box cap\)$"):
+        lcm_box(minimalize(2, [(2, 2)]), 4, "test box")
+    assert len(list(lcm_box(minimalize(2, [(2, 1)]), 4, "test box"))) == 2
+
+
+def test_colon_scan_answers_to_the_box_cap(monkeypatch):
+    ideal = edge_ideal(build_graph(cycle_edges(3)))
+    monkeypatch.setitem(errors.CAPS, "box", 7)  # the colon box has 2^3 cells
+    with pytest.raises(TooLargeError, match=r"colon box has 8 cells, cap is 7 \(the box cap\)"):
+        associated_primes_bruteforce(ideal)
+    monkeypatch.setitem(errors.CAPS, "box", 8)
+    assert associated_primes_bruteforce(ideal) == ((1, 2), (1, 3), (2, 3))
 
 
 def test_associated_primes_principal():

@@ -47,6 +47,15 @@ def test_dstab_tree_values():
     assert dstab_formula(spider).value == 7 - 3
 
 
+def test_tree_past_the_vertex_cap_gets_its_formula():
+    # a forest needs no cycle search, so the vertex cap does not apply
+    p17 = build_graph(path_edges(17))
+    assert cycle_profile(p17).kind == "tree"
+    report = dstab_formula(p17)
+    assert report.exact and report.value == 15
+    assert dstab_formula(build_graph(path_edges(30))).value == 28
+
+
 def _unicyclic(edges):
     """The one component report of dstab_formula on a connected unicyclic graph."""
     (comp,) = dstab_formula(build_graph(edges)).components
