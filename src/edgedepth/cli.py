@@ -1,5 +1,10 @@
 """Command line interface.
 
+main is the one path from a request to output: it reads the graph into
+args.graph, refuses it past --max-r, runs the command, which returns
+(payload, mismatch), and prints the payload.  A mismatch, what two routes
+that must agree disagree on, then goes to stderr and the exit code is 4.
+
 Exit codes: 0 success, 2 input/parse error, 3 size cap exceeded,
 4 cross-check mismatch, 5 internal invariant violation.
 """
@@ -16,7 +21,6 @@ from . import assoc, depth, graphs, monomials, simplicial, stability
 from .errors import (
     GraphError,
     InternalError,
-    MismatchError,
     NoFullStateError,
     ParseError,
     TooLargeError,
@@ -66,20 +70,13 @@ def _emit(payload: dict, fmt: str) -> None:
         os.close(devnull)
 
 
-def _load_graph(path: str, max_r: int) -> graphs.Graph:
-    g = graphs.read_graph_file(path)
-    if g.r > max_r:
-        raise TooLargeError(f"graph has {g.r} vertices, cap is {max_r} (--max-r)")
-    return g
-
-
-def _component_payload(g: graphs.Graph) -> list[dict]:
+def cmd_analyze(args) -> tuple[dict, str | None]:
+    g = args.graph
     dec = graphs.decompose(g)
-    out = []
+    components = []
     for comp, bipart in zip(dec.components, dec.bipartitions):
-        sub, _ = graphs.induced_subgraph(g, comp)
-        prof = graphs.cycle_profile(sub)
-        out.append(
+        prof = graphs.cycle_profile(graphs.induced_subgraph(g, comp)[0])
+        components.append(
             {
                 "vertices": list(comp),
                 "bipartite": bipart is not None,
@@ -89,13 +86,7 @@ def _component_payload(g: graphs.Graph) -> list[dict]:
                 "max_odd_cycle": prof.max_odd_len,
             }
         )
-    return out
-
-
-def cmd_analyze(args) -> int:
-    g = _load_graph(args.graph, args.max_r)
-    dec = graphs.decompose(g)
-    payload = {
+    return {
         "vertices": g.r,
         "edges": g.num_edges,
         "leaf_edges": graphs.leaf_edges(g),
@@ -104,37 +95,30 @@ def cmd_analyze(args) -> int:
         "nonbipartite_components": dec.t,
         "limit_depth": stability.depth_limit(g),
         "mt_bound": stability.mt_bound(g),
-        "components": _component_payload(g),
-    }
-    _emit(payload, args.format)
-    return EXIT_OK
+        "components": components,
+    }, None
 
 
-def cmd_dstab(args) -> int:
-    g = _load_graph(args.graph, args.max_r)
+def cmd_dstab(args) -> tuple[dict, str | None]:
     payload: dict = {}
     oracle = None
     if args.method in ("oracle", "both"):
         # first, so that the formula reads this run's value and does not
         # run the oracle on g again for a 4-cycle case
-        oracle = stability.dstab_oracle(g, field=args.field, trace=args.trace)
+        oracle = stability.dstab_oracle(args.graph, field=args.field, trace=args.trace)
         payload["oracle"] = oracle
     if args.method in ("formula", "both"):
-        formula_report = stability.dstab_formula(g, field=args.field, _oracle=oracle)
+        formula_report = stability.dstab_formula(args.graph, field=args.field, _oracle=oracle)
         payload["formula"] = dataclasses.asdict(formula_report)
         if oracle is not None:
             payload["match"] = (not formula_report.exact) or formula_report.value == oracle
             if not payload["match"]:
-                _emit(payload, args.format)
-                raise MismatchError(
-                    f"formula {formula_report.value} != oracle {oracle}"
-                )
-    _emit(payload, args.format)
-    return EXIT_OK
+                return payload, f"formula {formula_report.value} != oracle {oracle}"
+    return payload, None
 
 
-def cmd_depth_seq(args) -> int:
-    g = _load_graph(args.graph, args.max_r)
+def cmd_depth_seq(args) -> tuple[dict, str | None]:
+    g = args.graph
     if args.max_power < 1:
         raise ParseError("--max-power must be >= 1")
     seq = stability.depth_sequence(g, args.max_power, field=args.field, trace=args.trace)
@@ -143,20 +127,17 @@ def cmd_depth_seq(args) -> int:
     payload = {"depths": seq, "limit_depth": s, "first_at_limit": first}
     if args.verify:
         ideal = monomials.edge_ideal(g)
-        payload["verified"] = True
+        payload["verified"] = False
         for n, d in enumerate(seq, 1):
             other = depth.betti_depth_crosscheck(monomials.power(ideal, n), field=args.field)
             if other != d:
-                payload["verified"] = False
-                _emit(payload, args.format)
-                raise MismatchError(f"power {n}: scan depth {d} != betti depth {other}")
-    _emit(payload, args.format)
-    return EXIT_OK
+                return payload, f"power {n}: scan depth {d} != betti depth {other}"
+        payload["verified"] = True
+    return payload, None
 
 
-def cmd_ass(args) -> int:
-    g = _load_graph(args.graph, args.max_r)
-    n = args.power
+def cmd_ass(args) -> tuple[dict, str | None]:
+    g, n = args.graph, args.power
     if n < 1:
         raise ParseError("--power must be >= 1")
     payload: dict = {"power": n}
@@ -174,11 +155,9 @@ def cmd_ass(args) -> int:
         payload["bruteforce"] = [list(p) for p in brute_result]
     if formula_result is not None and brute_result is not None:
         if formula_result != brute_result:
-            _emit(payload, args.format)
-            raise MismatchError("formula and brute-force associated primes differ")
+            return payload, "formula and brute-force associated primes differ"
         payload["match"] = True
-    _emit(payload, args.format)
-    return EXIT_OK
+    return payload, None
 
 
 @functools.cache
@@ -236,20 +215,24 @@ def main(argv=None) -> int:
         args.field = _field_from_arg(args.field)
         if args.max_r < 1:
             raise ParseError(f"--max-r must be at least 1, got {args.max_r}")
-        return args.func(args)
+        args.graph = graphs.read_graph_file(args.graph)
+        if args.graph.r > args.max_r:
+            raise TooLargeError(f"graph has {args.graph.r} vertices, cap is {args.max_r} (--max-r)")
+        payload, mismatch = args.func(args)
+        _emit(payload, args.format)
     except (OSError, ParseError, GraphError, ValueError) as exc:  # OSError: graph file unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except MismatchError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (InternalError, NoFullStateError, WitnessCheckFailedError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
+    if mismatch is None:
+        return EXIT_OK
+    print(f"mismatch: {mismatch}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 if __name__ == "__main__":
     sys.exit(main())

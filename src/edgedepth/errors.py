@@ -44,10 +44,6 @@ class TooLargeError(EdgeIdealError):
     --max-r."""
 
 
-class MismatchError(EdgeIdealError):
-    """Two computation routes that must agree produced different answers."""
-
-
 class WitnessCheckFailedError(EdgeIdealError):
     """A constructed witness failed its defining runtime assertion."""
 

@@ -226,33 +226,38 @@ class CycleProfile:
 
 def blocks(g: Graph) -> list[tuple[int, ...]]:
     """The vertex sets of g's blocks (biconnected components), each sorted,
-    by one depth-first search with low points (Hopcroft and Tarjan).  Every
+    by one depth-first search with low points (Hopcroft and Tarjan), kept
+    on an explicit stack so that a long path needs no recursion.  Every
     cycle of g lies inside one block, and a block is an induced subgraph."""
     depth: dict[int, int] = {}
     low: dict[int, int] = {}
     edges: list[tuple[int, int]] = []  # tree and back edges not yet in a block
     out: list[tuple[int, ...]] = []
-
-    def visit(v: int, parent: int) -> None:
-        depth[v] = low[v] = len(depth)
-        for w in g.neighbors(v):
-            if w not in depth:
+    for root in g.vertices:
+        if root in depth:
+            continue
+        depth[root] = low[root] = len(depth)
+        stack = [(root, 0, iter(g.neighbors(root)))]  # (v, parent, unread neighbours)
+        while stack:
+            v, parent, nbrs = stack[-1]
+            w = next(nbrs, None)
+            if w is None:  # v is done: fold its low point into its parent's
+                stack.pop()
+                if parent:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= depth[parent]:  # parent separates v's subtree: a block ends
+                        block, edge = set(), None
+                        while edge != (parent, v):
+                            edge = edges.pop()
+                            block.update(edge)
+                        out.append(tuple(sorted(block)))
+            elif w not in depth:
                 edges.append((v, w))
-                visit(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] >= depth[v]:  # v separates w's subtree: a block ends
-                    block, edge = set(), None
-                    while edge != (v, w):
-                        edge = edges.pop()
-                        block.update(edge)
-                    out.append(tuple(sorted(block)))
+                depth[w] = low[w] = len(depth)
+                stack.append((w, v, iter(g.neighbors(w))))
             elif w != parent and depth[w] < depth[v]:
                 edges.append((v, w))
                 low[v] = min(low[v], depth[w])
-
-    for v in g.vertices:
-        if v not in depth:
-            visit(v, 0)
     return out
 
 
@@ -264,23 +269,30 @@ def _longest_cycle(g: Graph, top: int) -> Optional[tuple[int, ...]]:
 @lru_cache(maxsize=CACHE_ENTRIES)
 def cycle_profile(g: Graph) -> CycleProfile:
     """What the formulas read off g's cycles; cached.  The kind comes from
-    the cycle rank e - r + p.  Each parity's longest cycle is searched on
-    each block alone, since every cycle lies inside one: the first length
-    r_B, r_B - 2, ... of that parity with a cycle in block B, odd lengths
-    only in a nonbipartite block; a forest skips the search and its cap."""
+    the cycle rank e - r + p.  Each parity's longest cycle is found on each
+    block alone, since every cycle lies inside one.  A block B with e = r
+    is one cycle, read with no search or cap; any other is searched under
+    the vertex cap on r_B: the first length r_B, r_B - 2, ... of each
+    parity with a cycle, odd lengths only in a nonbipartite block."""
     rank = g.num_edges - g.r + decompose(g).p
     if rank == 0:
         return CycleProfile("tree", None, None, None)
-    check_cap("vertex", g.r, f"cycles of r={g.r}")
     longest: dict[int, tuple[int, ...]] = {}  # per parity, on g's labels
     for block in blocks(g):
         if len(block) < 3:  # a bridge
             continue
         sub, labels = induced_subgraph(g, block)
-        for parity in (0, 1) if decompose(sub).t else (0,):
-            cycle = _longest_cycle(sub, sub.r - (sub.r + parity) % 2)
-            if cycle and len(cycle) > len(longest.get(parity, ())):
-                longest[parity] = tuple(labels[v - 1] for v in cycle)
+        if sub.num_edges == sub.r:
+            found = [next(cycles_of_length(sub, sub.r))]
+        else:
+            check_cap("vertex", sub.r, f"cycles of a block of r={sub.r}")
+            found = [
+                _longest_cycle(sub, sub.r - (sub.r + parity) % 2)
+                for parity in ((0, 1) if decompose(sub).t else (0,))
+            ]
+        for cycle in filter(None, found):
+            if len(cycle) > len(longest.get(len(cycle) % 2, ())):
+                longest[len(cycle) % 2] = tuple(labels[v - 1] for v in cycle)
     even, odd = longest.get(0), longest.get(1)
     return CycleProfile(
         kind="unicyclic" if rank == 1 else "general",

@@ -13,14 +13,17 @@ every --method, traced under --method formula, and two runs over a cap:
 analyze under --max-r 2, and ass --method formula at level r + 5, over the
 level cap (or outside the formula's class).  The traces put each power's
 certificate (depth, witness, hint_hit, cells_scanned) and each cover-walk
-level's state count on stderr, so cmp compares those too.  Four fixed
-runs follow, three of them dstab --method formula under --max-r 17 or ass
---method bruteforce.  The 17-vertex path answers, since the tree formula
-needs no cycle search; the 17-cycle meets the vertex cap at its cycle
-search; one edge at --power 2237 (2238^2 cells) meets the box cap at the
-colon scan.  The fourth is analyze under --max-r 14 on K6,6 with a
-triangle hung on one vertex, whose longest cycles are searched block by
-block.  The default run takes 9 to 14 s on a 2-core x86-64 machine.
+level's state count on stderr, so cmp compares those too.  Six fixed
+runs follow, four of them dstab --method formula past the default
+--max-r, and one ass --method bruteforce.  The 17-vertex path answers,
+since the tree formula needs no cycle search, and so do the 17-cycle and
+a 1,000-vertex unicyclic graph (C501 with a 499-vertex path hung on it),
+whose cycle blocks are read with no search; the 17-cycle with a chord
+meets the vertex cap at its block's cycle search; one edge at --power
+2237 (2238^2 cells) meets the box cap at the colon scan.  The sixth is
+analyze under --max-r 14 on K6,6 with a triangle hung on one vertex,
+whose longest cycles are searched block by block.  The default run takes
+9 to 15 s on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -54,13 +57,17 @@ COMMANDS = [
     ["--max-r", "2", "analyze", GRAPH],
     ["ass", GRAPH, "--power", OVER_LEVEL, "--method", "formula"],
 ]
-# (name, r, edge-list text, command) of the fixed runs, the second and
-# third over a library cap
+C17 = "".join(f"{i} {i % 17 + 1}\n" for i in range(1, 18))
+# (name, r, edge-list text, command) of the fixed runs, the fourth and
+# fifth over a library cap
 FIXED = [
     ("p17", 17, "".join(f"{i} {i + 1}\n" for i in range(1, 17)),
      ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
-    ("c17", 17, "".join(f"{i} {i % 17 + 1}\n" for i in range(1, 18)),
-     ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
+    ("c17", 17, C17, ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
+    ("c501+tail", 1000, "".join(f"{i} {i % 501 + 1}\n" for i in range(1, 502)) + "1 502\n"
+     + "".join(f"{i} {i + 1}\n" for i in range(502, 1000)),
+     ["--max-r", "1000", "dstab", GRAPH, "--method", "formula"]),
+    ("c17+chord", 17, C17 + "1 9\n", ["--max-r", "17", "dstab", GRAPH, "--method", "formula"]),
     ("k2", 2, "1 2\n", ["ass", GRAPH, "--method", "bruteforce", "--power", "2237"]),
     # K6,6 with a triangle hung on vertex 1: a dense bipartite block beside
     # an odd one, for the per-block cycle search

@@ -13,7 +13,7 @@ import pytest
 from conftest import cycle_edges, path_edges
 import edgedepth
 from edgedepth import assoc, depth, errors, graphs, stability
-from edgedepth.cli import _load_graph, build_parser, main
+from edgedepth.cli import build_parser, main
 from edgedepth.depth import betti_depth_crosscheck, depth_bruteforce, depth_power, takayama_complex
 from edgedepth.errors import TooLargeError
 from edgedepth.monomials import associated_primes_bruteforce, minimalize
@@ -220,6 +220,24 @@ def test_ass_auto_keeps_the_level_cap(graph_file, capsys):
     assert code == 3 and "the level cap" in err and out == ""
 
 
+def test_dstab_mismatch_prints_payload_once_and_exits_4(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(stability, "dstab_oracle", lambda g, **kwargs: 99)
+    path = graph_file("c6.txt", C6_TEXT)
+    code, out, err = run(capsys, ["--format", "json", "dstab", path])
+    assert code == 4 and err == "mismatch: formula 4 != oracle 99\n"
+    component = {
+        "bipartite": True, "exact": True, "k": 3, "kind": "unicyclic", "note": "even-cycle",
+        "value": 4, "vertices": [1, 2, 3, 4, 5, 6],
+    }
+    formula = {
+        "components": [component], "exact": True, "limit_depth": 1, "mt_bound": 4, "value": 4,
+        "warnings": [],
+    }
+    # the payload once, before the exit
+    payload = {"formula": formula, "match": False, "oracle": 99}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_ass_both_mismatch_prints_payload_and_exits_4(graph_file, capsys, monkeypatch):
     monkeypatch.setattr(assoc, "ass_formula", lambda g, n, trace=False: ((1,),))
     path = graph_file("c3.txt", C3_TEXT)
@@ -295,7 +313,8 @@ _BIG = minimalize(3, [(200, 200, 200)])  # 201^3 cells, over the box cap
 _R17 = minimalize(17, [(1,) * 17])
 _P17 = graphs.build_graph(path_edges(17))
 _C3 = graphs.build_graph(cycle_edges(3))
-_C17 = graphs.build_graph(cycle_edges(17))
+# C17 with a chord: a 17-vertex block with three cycles, so its cycles are searched
+_C17_CHORD = graphs.build_graph(cycle_edges(17) + [(1, 9)])
 _S17 = SimplicialComplex(tuple(range(1, 18)), frozenset(range((1 << 17) - 1)))
 _C8 = graphs.build_graph(cycle_edges(8))
 
@@ -309,7 +328,7 @@ def _walk_c8_under_a_small_state_cap(gf):
 
 
 _CAP_CASES = [
-    (lambda gf: _load_graph(gf("c6.txt", C6_TEXT), 4), "cap is 4 (--max-r)"),
+    (lambda gf: main(["--max-r", "4", "analyze", gf("c6.txt", C6_TEXT)]), "cap is 4 (--max-r)"),
     (lambda gf: depth_power(_P17, 1), "cap is 16 (the vertex cap)"),
     (lambda gf: depth_bruteforce(_R17), "cap is 16 (the vertex cap)"),
     (lambda gf: takayama_complex(_R17, (0,) * 17), "cap is 16 (the vertex cap)"),
@@ -317,7 +336,7 @@ _CAP_CASES = [
     (lambda gf: depth_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
     (lambda gf: betti_depth_crosscheck(_BIG), "cap is 5000000 (the box cap)"),
     (lambda gf: associated_primes_bruteforce(_BIG), "cap is 5000000 (the box cap)"),
-    (lambda gf: graphs.cycle_profile(_C17), "cap is 16 (the vertex cap)"),
+    (lambda gf: graphs.cycle_profile(_C17_CHORD), "block of r=17, cap is 16 (the vertex cap)"),
     (lambda gf: graphs.maximal_independent_sets(_P17), "cap is 16 (the vertex cap)"),
     (
         lambda gf: assoc.cover_states(_C3, 8),
@@ -339,13 +358,19 @@ _CAP_CASES = [
         "faces", "rank", "state",
     ],
 )
-def test_each_cap_names_itself(graph_file, trigger, name):
-    # the cases refuse through every cap of the library's table
+def test_each_cap_names_itself(graph_file, capsys, trigger, name):
+    # the cases refuse through every cap of the library's table; a library
+    # cap raises, and the CLI's --max-r exits 3 with the message on stderr
     named = re.findall(r"\(the (\w+) cap\)", " ".join(text for _, text in _CAP_CASES))
     assert set(named) == set(errors.CAPS)
-    with pytest.raises(TooLargeError) as info:
-        trigger(graph_file)
-    assert name in str(info.value)
+    try:
+        code = trigger(graph_file)
+    except TooLargeError as exc:
+        message = str(exc)
+    else:
+        out, message = capsys.readouterr()
+        assert code == 3 and out == ""
+    assert name in message
 
 
 def test_missed_hint_over_box_cap_is_walked(graph_file, capsys, monkeypatch):
@@ -366,6 +391,35 @@ def test_state_cap_exits_3(graph_file, capsys, monkeypatch):
     monkeypatch.setitem(errors.CAPS, "state", 1 << 12)
     code, _, err = run(capsys, ["dstab", "--method", "oracle", graph_file("c8.txt", C8_TEXT)])
     assert code == 3 and "cap is 4096 (the state cap)" in err
+
+
+# a 1,000-vertex unicyclic graph: C501 with a 499-vertex path hung on vertex 1
+C501_TAIL_TEXT = (
+    "".join(f"{i} {i % 501 + 1}\n" for i in range(1, 502))
+    + "1 502\n"
+    + "".join(f"{i} {i + 1}\n" for i in range(502, 1000))
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, max_r, value",
+    [
+        ("c17", "".join(f"{i} {i % 17 + 1}\n" for i in range(1, 18)), 17, 9),
+        ("c201", "".join(f"{i} {i % 201 + 1}\n" for i in range(1, 202)), 201, 101),
+        ("c501+tail", C501_TAIL_TEXT, 1000, 1000 - 1 - 251 + 1),
+    ],
+)
+def test_unicyclic_formula_past_the_vertex_cap(graph_file, capsys, name, text, max_r, value):
+    # a cycle block is read with no search, so the formula answers at any size
+    argv = ["--max-r", str(max_r), "--format", "json", "dstab", graph_file(name, text)]
+    code, out, err = run(capsys, argv + ["--method", "formula"])
+    assert code == 0 and err == ""
+    report = json.loads(out)["formula"]
+    assert report["exact"] and report["value"] == value
+    # the oracle still refuses r > 16, at its depth scan
+    code, out, err = run(capsys, argv + ["--method", "oracle"])
+    assert code == 3 and out == ""
+    assert err == f"error: depth scan of r={max_r}, cap is 16 (the vertex cap)\n"
 
 
 def test_dstab_reaches_c10(graph_file, capsys):
@@ -556,6 +610,6 @@ def test_closed_stdout_keeps_exit_code(graph_file, capsys, monkeypatch, tmp_path
         assert capsys.readouterr().err == ""
         monkeypatch.setattr(stability, "dstab_oracle", lambda g, **kwargs: 99)
         assert main(["dstab", path]) == 4
-        assert "mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == "mismatch: formula 4 != oracle 99\n"
     finally:
         os.close(fd)

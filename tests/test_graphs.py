@@ -172,6 +172,18 @@ def test_cycle_profile_holds_no_listing():
     assert held < 1 << 20
 
 
+def _profile_of(g, cycles):
+    """The profile read off a listing of every cycle of g."""
+    rank = g.num_edges - g.r + decompose(g).p
+    lengths = {p: [len(c) for c in cycles if len(c) % 2 == p] for p in (0, 1)}
+    return CycleProfile(
+        ["tree", "unicyclic", "general"][min(rank, 2)],
+        max(lengths[0], default=None),
+        max(lengths[1], default=None),
+        cycles[0] if rank == 1 else None,
+    )
+
+
 def test_cycle_profile_matches_every_cycle():
     # the blocks are networkx's, and the per-block search gives the
     # profile read off networkx's full cycle listing: the kind from the
@@ -186,16 +198,7 @@ def test_cycle_profile_matches_every_cycle():
         want = sorted(tuple(sorted(b)) for b in nx.biconnected_components(nx.Graph(g.edges)))
         assert sorted(blocks(g)) == want, g.edges
     for g in graphs:
-        cycles = networkx_cycles(nx, g)
-        rank = g.num_edges - g.r + decompose(g).p
-        lengths = {p: [len(c) for c in cycles if len(c) % 2 == p] for p in (0, 1)}
-        want = CycleProfile(
-            ["tree", "unicyclic", "general"][min(rank, 2)],
-            max(lengths[0], default=None),
-            max(lengths[1], default=None),
-            cycles[0] if rank == 1 else None,
-        )
-        assert cycle_profile(g) == want, g.edges
+        assert cycle_profile(g) == _profile_of(g, networkx_cycles(nx, g)), g.edges
     assert cycle_profile(k66) == CycleProfile("general", 12, 3, None)
 
 
@@ -211,9 +214,62 @@ def test_cycle_profile():
 
 
 def test_cycle_cap():
-    g = build_graph(cycle_edges(17))
-    with pytest.raises(TooLargeError):
+    # only a block with a second cycle is searched, so C17 with a chord is
+    # refused for its 17-vertex block; C17 alone is its own cycle
+    g = build_graph(cycle_edges(17) + [(1, 9)])
+    with pytest.raises(TooLargeError, match="block of r=17, cap is 16 "):
         cycle_profile(g)
+    assert cycle_profile(build_graph(cycle_edges(17))) == CycleProfile(
+        "unicyclic", None, 17, tuple(range(1, 18))
+    )
+
+
+def _blocks_by_recursion(g):
+    """The blocks as the recursive depth-first search listed them, one
+    Python frame per level: the reference for blocks' explicit stack."""
+    depth, low, edges, out = {}, {}, [], []
+
+    def visit(v, parent):
+        depth[v] = low[v] = len(depth)
+        for w in g.neighbors(v):
+            if w not in depth:
+                edges.append((v, w))
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] >= depth[v]:
+                    block, edge = set(), None
+                    while edge != (v, w):
+                        edge = edges.pop()
+                        block.update(edge)
+                    out.append(tuple(sorted(block)))
+            elif w != parent and depth[w] < depth[v]:
+                edges.append((v, w))
+                low[v] = min(low[v], depth[w])
+
+    for v in g.vertices:
+        if v not in depth:
+            visit(v, 0)
+    return out
+
+
+def test_blocks_and_profile_match_the_whole_graph_search():
+    rng = random.Random(1109)
+    for i in range(300):
+        v = rng.randint(3, 12)
+        g = random_graph(rng, v, extra=rng.randint(0, 5 if i % 2 else 1))
+        assert blocks(g) == _blocks_by_recursion(g), g.edges
+        # the per-block profile against a search of the whole graph
+        cycles = [c for n in range(3, g.r + 1) for c in cycles_of_length(g, n)]
+        assert cycle_profile(g) == _profile_of(g, cycles), g.edges
+
+
+def test_blocks_walk_a_long_path_without_recursion():
+    # a triangle with a 1,097-vertex tail: the recursive search raised
+    # RecursionError here at the default recursion limit
+    g = build_graph(cycle_edges(3) + path_edges(1098, offset=2))
+    found = blocks(g)
+    assert len(found) == 1098 and (1, 2, 3) in found
+    assert cycle_profile(g) == CycleProfile("unicyclic", None, 3, (1, 2, 3))
 
 
 def test_tree_unicyclic_predicates():

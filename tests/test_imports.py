@@ -181,7 +181,7 @@ _CAP_MESSAGE = re.compile(r".+, cap is [^,()]+ \((--max-r|the [a-z]+ cap)\)")
 
 def test_cap_messages_name_their_cap():
     # errors.check_cap alone decides how a library cap's refusal reads, and
-    # cli._load_graph refuses the user's --max-r; every other site calls
+    # cli.main refuses the user's --max-r; every other site calls
     # check_cap with a key of errors.CAPS, and every key has a caller
     sources = _src_sources()
     found = [
@@ -189,7 +189,7 @@ def test_cap_messages_name_their_cap():
         for where, source in sources.items()
         for _, name in raisers(source, "TooLargeError")
     ]
-    assert found == [("edgedepth/cli.py", "_load_graph"), ("edgedepth/errors.py", "check_cap")]
+    assert found == [("edgedepth/cli.py", "main"), ("edgedepth/errors.py", "check_cap")]
     named = [(where, cap) for where, source in sources.items() for _, cap in cap_calls(source)]
     assert [call for call in named if call[1] not in CAPS] == []
     assert {cap for _, cap in named} == set(CAPS)
