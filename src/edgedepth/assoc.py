@@ -9,9 +9,10 @@ covers together with the primes on R_n + B_n + V for each reachable level-n
 state and each minimal completion V to a vertex cover.  A level-n state
 whose R + B is every vertex gives a monomial d with (I^n : d) = m
 (full_cover_monomial).  Taken on the spanning unicyclic subgraph that
-graphs.spanning_unicyclic_subgraph cuts (spanning_unicyclic_monomial), it
-is every connected nonbipartite graph's depth-zero witness, which
-stability.witness checks.  The walk reads only cycle_profile's one cycle.
+graphs.spanning_unicyclic_subgraph cuts, it is every connected
+nonbipartite graph's depth-zero witness, which stability._witness builds
+and stability.witness checks.  The walk reads only cycle_profile's one
+cycle.
 
 cover_states returns one CoverGroup per reachable (R_n, B_n), holding every
 d_n that reaches it packed into ints: ass_formula reads R + B alone and
@@ -38,7 +39,6 @@ from .graphs import (
     induced_subgraph,
     is_unicyclic,
     minimal_vertex_covers,
-    spanning_unicyclic_subgraph,
 )
 from .monomials import Monomial
 
@@ -183,14 +183,3 @@ def full_cover_monomial(g: Graph) -> tuple[int, Monomial]:
             f"no level-{n} state covers every vertex; the walk should reach one"
         )
     return n, min(candidates)
-
-
-def spanning_unicyclic_monomial(g: Graph) -> tuple[int, Monomial]:
-    """For connected nonbipartite g: the full_cover_monomial of the spanning
-    unicyclic subgraph H that graphs.spanning_unicyclic_subgraph cuts,
-    keeping g's least longest odd cycle; unchecked (see stability.witness).
-    Since I(H) is inside I(g), a witness for H is one for g, and a
-    unicyclic g is its own H.  A g with no odd cycle has no such H:
-    NotUnicyclicNonbipartiteError, as full_cover_monomial raises for a
-    disconnected H."""
-    return full_cover_monomial(spanning_unicyclic_subgraph(g))

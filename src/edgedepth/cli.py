@@ -21,10 +21,8 @@ from . import assoc, depth, graphs, monomials, simplicial, stability
 from .errors import (
     GraphError,
     InternalError,
-    NoFullStateError,
     ParseError,
     TooLargeError,
-    WitnessCheckFailedError,
 )
 
 EXIT_OK = 0
@@ -226,7 +224,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except (InternalError, NoFullStateError, WitnessCheckFailedError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if mismatch is None:

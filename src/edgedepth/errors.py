@@ -44,22 +44,24 @@ class TooLargeError(EdgeIdealError):
     --max-r."""
 
 
-class WitnessCheckFailedError(EdgeIdealError):
+class InternalError(EdgeIdealError):
+    """An invariant the implementation relies on was violated."""
+
+
+class WitnessCheckFailedError(InternalError):
     """A constructed witness failed its defining runtime assertion."""
 
 
-class NoFullStateError(EdgeIdealError):
+class NoFullStateError(InternalError):
     """Cover walk reached the target level without covering every vertex."""
-
-
-class InternalError(EdgeIdealError):
-    """An invariant the implementation relies on was violated."""
 
 
 # Every exact route grows exponentially in r or n, so each checks its cap
 # here before the work it bounds.
 CAPS = {
-    "vertex": 16,  # vertices of a scan that builds 2^r arrays
+    # vertices of a 2^r array that depth.py builds, and of a search in
+    # graphs.py: a block's longest cycles, a graph's maximal independent sets
+    "vertex": 16,
     "box": 5_000_000,  # cells of every lcm box scanned: depth, degree and colon
     "state": 1 << 26,  # bytes of one depth walk layer's packed state keys
     "face": 1 << 20,  # faces of a complex listed from its facets

@@ -199,18 +199,21 @@ def cycles_of_length(g: Graph, n: int) -> Iterator[tuple[int, ...]]:
     """g's simple cycles of length n >= 3, lazily and in lexicographic
     order, each as a vertex tuple that starts at its least vertex and goes
     in the direction of its smaller neighbour on the cycle.  A search from
-    each start walks the paths on larger vertices, neighbours ascending."""
+    each start walks the paths on larger vertices, neighbours ascending,
+    with the path's vertices kept in a set as well, so a step is O(1)."""
     for start in range(1, g.r - n + 2):
         closers = set(g.neighbors(start))
         path, branches = [start], [iter(g.neighbors(start))]
+        on_path = {start}
         while branches:
             w = next(branches[-1], None)
             if w is None:
                 branches.pop()
-                path.pop()
-            elif w > start and w not in path:
+                on_path.discard(path.pop())
+            elif w > start and w not in on_path:
                 if len(path) < n - 1:
                     path.append(w)
+                    on_path.add(w)
                     branches.append(iter(g.neighbors(w)))
                 elif w in closers and path[1] < w:
                     yield (*path, w)
@@ -285,6 +288,7 @@ def cycle_profile(g: Graph) -> CycleProfile:
         if sub.num_edges == sub.r:
             found = [next(cycles_of_length(sub, sub.r))]
         else:
+            # bounds the search, which may try every path of the block
             check_cap("vertex", sub.r, f"cycles of a block of r={sub.r}")
             found = [
                 _longest_cycle(sub, sub.r - (sub.r + parity) % 2)
@@ -358,6 +362,7 @@ def is_unicyclic(g: Graph) -> bool:
 def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal independent sets, sorted.  Bron-Kerbosch with pivoting on
     the complement graph."""
+    # bounds the search, whose output alone may reach 3^(r/3) sets
     check_cap("vertex", g.r, f"independent sets of r={g.r}")
     r = g.r
     full = (1 << r) - 1

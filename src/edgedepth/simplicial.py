@@ -40,9 +40,6 @@ class FieldChoice:
                 raise ValueError(f"{p} is not prime")
         return FieldChoice(p)
 
-    def __str__(self) -> str:
-        return "Q" if self.p is None else f"GF({self.p})"
-
 
 QQ = FieldChoice()
 

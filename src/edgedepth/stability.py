@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
-from .assoc import spanning_unicyclic_monomial
+from .assoc import full_cover_monomial
 from .depth import (
     DepthCertificate,
     depth_power,
@@ -59,6 +59,7 @@ from .graphs import (
     is_unicyclic,
     leaf_edges,
     mu_vector,
+    spanning_unicyclic_subgraph,
 )
 from .monomials import edge_ideal, membership, power
 from .simplicial import QQ, FieldChoice, from_facets
@@ -164,13 +165,15 @@ def _witness(g: Graph) -> tuple[int, tuple[int, ...]]:
     witness); the one place where g's class picks its witness.
 
     A nonbipartite g gets the exponent of a monomial f with (I^n : f) = m,
-    of index 0 (D = {emptyset}): the cover walk's, on a spanning unicyclic
-    subgraph that keeps a longest odd cycle (g itself when g is unicyclic).
+    of index 0 (D = {emptyset}): the cover walk's full cover on the spanning
+    unicyclic subgraph H that keeps g's least longest odd cycle (g itself
+    when g is unicyclic).  Since I(H) is inside I(g), a witness for H is
+    one for g.
     A bipartite unicyclic g gets the peeled alpha at component_bound(g), and
     any other bipartite g gets mu(g) at e - e0 + 1, which is
     component_bound(g) for a tree; both are of index 1 (D = <X, Y>)."""
     if decompose(g).t:
-        return spanning_unicyclic_monomial(g)
+        return full_cover_monomial(spanning_unicyclic_subgraph(g))
     if is_unicyclic(g):
         return component_bound(g), _prop_alpha_unicyclic(g, cycle_profile(g).unique_cycle)
     return g.num_edges - leaf_edges(g) + 1, mu_vector(g)

@@ -20,7 +20,6 @@ from edgedepth.assoc import (
     ass_formula,
     cover_states,
     full_cover_monomial,
-    spanning_unicyclic_monomial,
 )
 from edgedepth.errors import (
     CAPS,
@@ -286,7 +285,11 @@ def test_spanning_unicyclic_takes_the_cycles_once():
 
 
 def test_nonbipartite_bound_rejects_bipartite():
-    for build in (full_cover_monomial, spanning_unicyclic_monomial):
+    # the cover walk alone, and on the spanning unicyclic subgraph
+    for build in (
+        full_cover_monomial,
+        lambda g: full_cover_monomial(spanning_unicyclic_subgraph(g)),
+    ):
         with pytest.raises(NotUnicyclicNonbipartiteError):
             build(build_graph(cycle_edges(4)))
         with pytest.raises(NotUnicyclicNonbipartiteError):

@@ -280,6 +280,18 @@ def test_oracle_past_its_bound_exits_5(graph_file, capsys, monkeypatch):
     assert err == "internal error: depth did not reach the limit 1 within the bound 1\n"
 
 
+@pytest.mark.parametrize("error", [errors.NoFullStateError, errors.WitnessCheckFailedError])
+def test_witness_faults_exit_5(graph_file, capsys, monkeypatch, error):
+    # both are InternalErrors, so main's one exit-5 clause reports them
+    def fail(g, **kwargs):
+        raise error("the witness broke")
+
+    monkeypatch.setattr(stability, "dstab_oracle", fail)
+    code, out, err = run(capsys, ["dstab", graph_file("c6.txt", C6_TEXT), "--method", "oracle"])
+    assert code == 5 and out == ""
+    assert err == "internal error: the witness broke\n"
+
+
 def test_exit_code_parse_error(graph_file, capsys):
     path = graph_file("bad.txt", "1 2 3\n")
     code, _, err = run(capsys, ["analyze", path])

@@ -207,9 +207,10 @@ def test_cap_messages_name_their_cap():
 
 
 def test_vertex_cap_is_checked_only_in_graphs():
-    # the vertex cap bounds the 2^r arrays built over a graph's vertices:
-    # only graphs.py and depth.py, which build them, check it, and no
-    # module but errors.py reads a cap's value
+    # the vertex cap bounds the 2^r arrays that depth.py builds over a
+    # graph's vertices and the exponential searches of graphs.py (a
+    # block's cycles, the maximal independent sets): only those two modules
+    # check it, and no module but errors.py reads a cap's value
     sources = _src_sources()
     vertex = {
         where for where, source in sources.items() for _, cap in cap_calls(source) if cap == "vertex"
